@@ -22,9 +22,6 @@ __all__ = [
     "SinPair",
     "Constant",
     "Zero",
-    "output_dim",
-    "evaluate",
-    "evaluate_grid",
 ]
 
 
@@ -228,14 +225,3 @@ class Zero(BasisSpec):
         xs = _require_finite_array(xs)
         return np.zeros((xs.size, 1))
 
-
-def output_dim(spec: BasisSpec) -> int:
-    return spec.dim
-
-
-def evaluate(spec: BasisSpec, x: float) -> np.ndarray:
-    return spec.eval(x)
-
-
-def evaluate_grid(spec: BasisSpec, xs) -> np.ndarray:
-    return spec.eval_grid(xs)

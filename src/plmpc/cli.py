@@ -57,14 +57,16 @@ def render_csv(log: RunLog) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ghat_grid(cfg, log: RunLog) -> str:
-    """Identified first input coefficient over the output grid at the snapshot step."""
+def ghat_grid(cfg, log: RunLog) -> tuple[np.ndarray, np.ndarray]:
+    """Output grid and the identified first input coefficient on it at the snapshot step."""
     step = min(cfg.output.snapshot_step, log.steps)
-    theta = log.theta[step - 1]
     ys = np.linspace(cfg.output.grid_lo, cfg.output.grid_hi, cfg.output.grid_points)
-    gs = coeff_g_grid(cfg.structure, theta, 1, ys)
+    return ys, coeff_g_grid(cfg.structure, log.theta[step - 1], 1, ys)
+
+
+def render_ghat_grid(cfg, log: RunLog) -> str:
     lines = ["y,ghat_1"]
-    for yv, gv in zip(ys, gs):
+    for yv, gv in zip(*ghat_grid(cfg, log)):
         lines.append(f"{_g17(yv)},{_g17(gv)}")
     return "\n".join(lines) + "\n"
 
@@ -167,51 +169,92 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _expand_names(names: list[str]) -> list[str]:
+    """Presets named outright or by family prefix (`eg4` -> `eg4-*`); none means all."""
+    available = preset_names()
+    if not names:
+        return available
+    expanded = []
+    for name in names:
+        members = [name] if name in available else [
+            n for n in available if n.startswith(name + "-")]
+        if not members:
+            raise config_mod.ConfigError(
+                f"unknown preset or family {name!r}; available: {', '.join(available)}")
+        expanded.extend(members)
+    return expanded
+
+
+def _parse_seeds(text: str) -> list[int]:
     try:
-        a, b = text.split(":")
-        return int(a), int(b)
+        seeds = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise config_mod.ConfigError(
+            f"seeds must be comma-separated integers, got {text!r}") from None
+    if not seeds:
+        raise config_mod.ConfigError("need at least one seed")
+    return seeds
+
+
+def _parse_window(text: str, steps: int) -> tuple[int, int]:
+    try:
+        a, b = (int(v) for v in text.split(":"))
     except ValueError:
         raise config_mod.ConfigError(
             f"window must look like START:END, got {text!r}") from None
+    if not 1 <= a <= b <= steps:
+        raise config_mod.ConfigError(
+            f"window {text} needs 1 <= START <= END <= {steps} (the run length)")
+    return a, b
 
 
 def cmd_compare(args) -> int:
-    names = args.presets
-    seeds = [int(s) for s in args.seeds.split(",") if s]
-    if not seeds:
-        raise config_mod.ConfigError("need at least one seed")
-    window = _parse_window(args.window)
-    rows = []
-    for name in names:
-        try:
-            base = preset(name)
-        except KeyError as exc:
-            raise config_mod.ConfigError(str(exc.args[0])) from exc
-        if args.steps is not None:
-            base = config_mod.with_overrides(base, steps=args.steps)
-        if window[1] > base.steps:
-            raise config_mod.ConfigError(
-                f"window {args.window} exceeds run length {base.steps}")
-        ec_means, ep_means = [], []
-        for seed in seeds:
-            log = run_closed_loop(config_mod.with_overrides(base, seed=seed))
-            m = metrics(log, window)
-            ec_means.append(m.mean_abs_ec)
-            ep_means.append(m.mean_abs_ep)
-        rows.append((name, statistics.median(ec_means), statistics.median(ep_means)))
+    """Run presets x seeds, tabulate medians over completed runs, report aborts."""
+    seeds = _parse_seeds(args.seeds)
+    # Every config is built, and so validated, before anything runs;
+    # a preset named twice runs once.
+    runs = {}
+    for name in _expand_names(args.presets):
+        base = config_mod.with_overrides(preset(name), steps=args.steps)
+        runs[name] = [config_mod.with_overrides(base, seed=seed) for seed in seeds]
+    window = _parse_window(args.window, min(cfgs[0].steps for cfgs in runs.values()))
 
-    width = max(len(r[0]) for r in rows)
-    print(f"{'preset':<{width}}  median mean|e_c|  median mean|e_p|   "
-          f"(steps {window[0]}..{window[1]}, {len(seeds)} seeds)")
-    for name, ec, ep in rows:
-        print(f"{name:<{width}}  {ec:>16.6g}  {ep:>16.6g}")
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            na, ea = rows[i][0], rows[i][1]
-            nb, eb = rows[j][0], rows[j][1]
+    width = max(map(len, ["preset", *runs]))
+    print(f"{'preset':<{width}}  median mean|e_c|  median mean|e_p|  {'aborted':<14}  "
+          f"ghat_1 range at snapshot   (steps {window[0]}..{window[1]}, {len(seeds)} seeds)")
+    medians, n_aborted = [], 0
+    for name, cfgs in runs.items():
+        ecs, eps, abort_steps, gains = [], [], [], None
+        for cfg in cfgs:
+            try:
+                log = run_closed_loop(cfg)
+            except SimulationAborted as exc:
+                abort_steps.append(exc.step)
+                continue
+            m = metrics(log, window)
+            ecs.append(m.mean_abs_ec)
+            eps.append(m.mean_abs_ep)
+            if gains is None:
+                gains = ghat_grid(cfg, log)[1]
+        n_aborted += len(abort_steps)
+        aborted = f"{len(abort_steps)}/{len(cfgs)}"
+        if abort_steps:
+            aborted += f" (step {min(abort_steps)})"
+        if ecs:
+            ec, ep = statistics.median(ecs), statistics.median(eps)
+            medians.append((name, ec))
+            print(f"{name:<{width}}  {ec:>16.4g}  {ep:>16.4g}  {aborted:<14}  "
+                  f"[{gains.min():+.3g}, {gains.max():+.3g}]")
+        else:
+            print(f"{name:<{width}}  {'-':>16}  {'-':>16}  {aborted:<14}  -")
+
+    for i, (na, ea) in enumerate(medians):
+        for nb, eb in medians[i + 1:]:
             ratio = eb / ea if ea else float("inf")
-            print(f"ratio {nb}/{na}: {ratio:.6g}")
+            print(f"ratio {nb}/{na}: {ratio:.4g}")
+    if n_aborted:
+        print(f"error: {n_aborted} of {len(runs) * len(seeds)} runs aborted", file=sys.stderr)
+        return EXIT_RUNTIME
     return EXIT_OK
 
 
@@ -246,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.set_defaults(fn=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run presets over seeds and compare errors")
-    cmp_p.add_argument("presets", nargs="+")
+    cmp_p.add_argument("presets", nargs="*",
+                       help="preset names or family prefixes such as eg4 (default: all)")
     cmp_p.add_argument("--seeds", default="1,2,3,4,5")
     cmp_p.add_argument("--steps", type=int, default=None)
     cmp_p.add_argument("--window", default="301:500")
@@ -266,9 +310,6 @@ def main(argv=None) -> int:
     except config_mod.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SimulationAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (RuntimeError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

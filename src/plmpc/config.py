@@ -318,11 +318,14 @@ def dump_config_file(cfg: SimConfig, path) -> None:
 
 
 def with_overrides(cfg: SimConfig, seed=None, steps=None, snapshot_step=None) -> SimConfig:
-    """CLI-style overrides on a frozen config."""
-    if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
-    if steps is not None:
-        cfg = replace(cfg, steps=int(steps))
-    if snapshot_step is not None:
-        cfg = replace(cfg, output=replace(cfg.output, snapshot_step=int(snapshot_step)))
+    """CLI-style overrides on a frozen config; out-of-range values raise ConfigError."""
+    try:
+        if seed is not None:
+            cfg = replace(cfg, seed=int(seed))
+        if steps is not None:
+            cfg = replace(cfg, steps=int(steps))
+        if snapshot_step is not None:
+            cfg = replace(cfg, output=replace(cfg.output, snapshot_step=int(snapshot_step)))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return cfg

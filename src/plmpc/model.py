@@ -1,4 +1,4 @@
-"""Pseudo-linear input-output model: structure, regressors, predictions.
+"""Pseudo-linear input-output model: structure, regressors, identified coefficients.
 
 The one-step predictor is linear in an unknown coefficient row `theta`,
 but each regressor entry is a lagged output or input weighted by a basis
@@ -20,10 +20,6 @@ __all__ = [
     "History",
     "ModelStructure",
     "regressor",
-    "predict",
-    "prediction_error",
-    "coeff_f",
-    "coeff_g",
     "coeff_g_grid",
 ]
 
@@ -161,30 +157,6 @@ def regressor(structure: ModelStructure, y_hist: History, u_hist: History, k: in
     if structure.h_spec is not None:
         phi[pos:] = structure.h_spec.eval(y_hist.at(k - 1))
     return phi
-
-
-def predict(theta, phi) -> float:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if theta.shape != phi.shape:
-        raise ValueError(f"shape mismatch: theta {theta.shape} vs phi {phi.shape}")
-    return float(theta @ phi)
-
-
-def prediction_error(theta, phi, y: float) -> float:
-    return float(y) - predict(theta, phi)
-
-
-def coeff_f(structure: ModelStructure, theta, lag: int, y: float) -> float:
-    """Identified output-lag coefficient at operating point y."""
-    theta = structure._check_theta(theta)
-    return float(theta[structure.f_slice(lag)] @ structure.f_specs[lag - 1].eval(y))
-
-
-def coeff_g(structure: ModelStructure, theta, lag: int, y: float) -> float:
-    """Identified input-lag coefficient at operating point y."""
-    theta = structure._check_theta(theta)
-    return float(theta[structure.g_slice(lag)] @ structure.g_specs[lag - 1].eval(y))
 
 
 def coeff_g_grid(structure: ModelStructure, theta, lag: int, ys) -> np.ndarray:

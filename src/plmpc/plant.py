@@ -154,6 +154,8 @@ class SimConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_std < 0.0:
             raise ValueError("warmup_std must be nonnegative")
         n_theta = len(self.theta0_array())
@@ -185,9 +187,6 @@ class RunLog:
     qp_iters: np.ndarray
     fp_residual: np.ndarray
     wall_ms: np.ndarray
-    final_info: np.ndarray
-    final_cov: np.ndarray
-    meta: dict
 
     @property
     def steps(self) -> int:
@@ -219,8 +218,6 @@ class WindowMetrics:
     mean_abs_ec: float
     mean_abs_ep: float
     max_abs_u: float
-    log10_abs_ec: np.ndarray
-    log10_abs_ep: np.ndarray
 
 
 def metrics(log: RunLog, window: tuple) -> WindowMetrics:
@@ -234,8 +231,6 @@ def metrics(log: RunLog, window: tuple) -> WindowMetrics:
         mean_abs_ec=float(np.mean(np.abs(log.e_c[sl]))),
         mean_abs_ep=float(np.mean(np.abs(log.e_p[sl]))),
         max_abs_u=float(np.max(np.abs(log.u[sl]))),
-        log10_abs_ec=log10_abs(log.e_c[sl]),
-        log10_abs_ep=log10_abs(log.e_p[sl]),
     )
 
 
@@ -278,10 +273,6 @@ def run_closed_loop(cfg: SimConfig) -> RunLog:
         qp_iters=np.zeros(n, dtype=int),
         fp_residual=np.zeros(n),
         wall_ms=np.zeros(n),
-        final_info=np.eye(dim_phi),
-        final_cov=np.eye(dim_phi),
-        meta={"name": cfg.name, "seed": cfg.seed, "rng": "pcg64",
-              "warmup_noise": "standard-deviation"},
     )
 
     u_next = cfg.u0  # control for step 1 continues the initial input
@@ -321,9 +312,6 @@ def run_closed_loop(cfg: SimConfig) -> RunLog:
         else:
             u_next = draw_warmup_input(rng, cfg.warmup_std)
         log.wall_ms[k - 1] = (time.perf_counter() - t0) * 1e3
-
-    log.final_info = estimator.info.copy()
-    log.final_cov = estimator.cov.copy()
     return log
 
 

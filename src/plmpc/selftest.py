@@ -111,7 +111,7 @@ def _check_spline_partition():
     spec = basis_mod.CubicHermiteSpline(4, -3.0, 5.0)
     nodes = spec.nodes
     xs = np.linspace(nodes[1], nodes[4], 257)
-    values = basis_mod.evaluate_grid(spec, xs)
+    values = spec.eval_grid(xs)
     sums = values[:, 0::2].sum(axis=1)
     worst = float(np.max(np.abs(sums - 1.0)))
     assert worst < 1e-12, f"value-bump sum off unity by {worst:.3e}"
@@ -124,10 +124,10 @@ def _check_spline_node_interpolation():
     nodes = spec.nodes
     step = 1e-6
     for i in range(1, spec.interior_nodes + 1):
-        val = float(coef @ basis_mod.evaluate(spec, nodes[i]))
+        val = float(coef @ spec.eval(nodes[i]))
         assert abs(val - coef[2 * i - 2]) < 1e-12, f"node {i} value mismatch"
-        hi = float(coef @ basis_mod.evaluate(spec, nodes[i] + step))
-        lo = float(coef @ basis_mod.evaluate(spec, nodes[i] - step))
+        hi = float(coef @ spec.eval(nodes[i] + step))
+        lo = float(coef @ spec.eval(nodes[i] - step))
         slope = (hi - lo) / (2 * step)
         assert abs(slope - coef[2 * i - 1]) < 1e-4, f"node {i} slope mismatch"
 
@@ -135,7 +135,7 @@ def _check_spline_node_interpolation():
 def _check_fourier_bounded():
     spec = basis_mod.Fourier(3, 6.0)
     xs = np.linspace(-30, 30, 1001)
-    values = basis_mod.evaluate_grid(spec, xs)
+    values = spec.eval_grid(xs)
     assert np.max(np.abs(values)) <= 1.0 + 1e-15, "trig entries must stay in [-1, 1]"
 
 

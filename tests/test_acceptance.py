@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from plmpc import qp as qp_mod
-from plmpc.basis import CubicHermiteSpline, Fourier, evaluate, evaluate_grid
+from plmpc.basis import CubicHermiteSpline, Fourier
 from plmpc.cli import render_csv
 from plmpc.mpc import HorizonConfig, HorizonState, SdcTable, assemble, rollout_frozen
 from plmpc.plant import metrics, preset, run_closed_loop
@@ -173,7 +173,7 @@ def test_07_basis_suites():
     spline = CubicHermiteSpline(4, -3.0, 5.0)
     nodes = spline.nodes
     xs = np.linspace(nodes[1], nodes[-2], 512)
-    sums = evaluate_grid(spline, xs)[:, 0::2].sum(axis=1)
+    sums = spline.eval_grid(xs)[:, 0::2].sum(axis=1)
     pou = float(np.max(np.abs(sums - 1.0)))
     assert pou < 1e-12
 
@@ -182,14 +182,14 @@ def test_07_basis_suites():
     h = 1e-6
     worst = 0.0
     for i in range(1, spline.interior_nodes + 1):
-        val = float(coef @ evaluate(spline, nodes[i]))
+        val = float(coef @ spline.eval(nodes[i]))
         assert abs(val - coef[2 * i - 2]) < 1e-12
-        fd = float(coef @ evaluate(spline, nodes[i] + h)
-                   - coef @ evaluate(spline, nodes[i] - h)) / (2 * h)
+        fd = float(coef @ spline.eval(nodes[i] + h)
+                   - coef @ spline.eval(nodes[i] - h)) / (2 * h)
         worst = max(worst, abs(fd - coef[2 * i - 1]))
         assert abs(fd - coef[2 * i - 1]) < 1e-5
 
-    trig = evaluate_grid(Fourier(3, 6.0), np.linspace(-30, 30, 2001))
+    trig = Fourier(3, 6.0).eval_grid(np.linspace(-30, 30, 2001))
     assert float(np.max(np.abs(trig))) <= 1.0 + 1e-15
     print(f"[criterion 07] bases: partition {pou:.2e}, slope fd {worst:.2e}")
 

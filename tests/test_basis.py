@@ -15,9 +15,6 @@ from plmpc.basis import (
     Polynomial,
     SinPair,
     Zero,
-    evaluate,
-    evaluate_grid,
-    output_dim,
 )
 
 SPLINE4 = CubicHermiteSpline(interior_nodes=2, lo=-6.0, hi=6.0)
@@ -85,12 +82,12 @@ def test_scalar_pairs_and_degenerate_dictionaries():
 
 
 def test_output_dims():
-    assert output_dim(Polynomial(1)) == 2
-    assert output_dim(Fourier(1, 6.0)) == 3
-    assert output_dim(Fourier(2, 6.0)) == 5
-    assert output_dim(SPLINE4) == 4
-    assert output_dim(AtanPair()) == output_dim(SinPair()) == 2
-    assert output_dim(Constant()) == output_dim(Zero()) == 1
+    assert Polynomial(1).dim == 2
+    assert Fourier(1, 6.0).dim == 3
+    assert Fourier(2, 6.0).dim == 5
+    assert SPLINE4.dim == 4
+    assert AtanPair().dim == SinPair().dim == 2
+    assert Constant().dim == Zero().dim == 1
 
 
 # --- validation ----------------------------------------------------------------
@@ -165,6 +162,6 @@ def test_c1_across_each_node():
 
 def test_grid_evaluation_shape_and_flattening():
     xs = np.array([[-1.0, 0.0], [1.0, 2.0]])
-    table = evaluate_grid(SPLINE4, xs)
+    table = SPLINE4.eval_grid(xs)
     assert table.shape == (4, 4)
-    assert np.array_equal(table[1], evaluate(SPLINE4, 0.0))
+    assert np.array_equal(table[1], SPLINE4.eval(0.0))

@@ -26,9 +26,6 @@ def _tiny_log():
         qp_iters=np.ones(n, dtype=int),
         fp_residual=np.zeros(n),
         wall_ms=np.ones(n),
-        final_info=np.eye(3),
-        final_cov=np.eye(3),
-        meta={},
     )
 
 
@@ -124,6 +121,7 @@ def test_run_usage_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--preset", "nope", "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "nope" in err
+    assert main(["run", "--preset", "eg1", "--seed", "-1", "--out-dir", str(tmp_path)]) == 2
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: wrong-schema\n")
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
@@ -137,6 +135,18 @@ def test_run_config_theta_mismatch_cites_expected_length(tmp_path, capsys):
     assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "3" in err  # the structure's regressor length
+
+
+def test_run_steps_out_of_range_exits_two(tmp_path, capsys):
+    assert main(["run", "--preset", "eg1", "--steps", "0",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def test_run_snapshot_step_out_of_range_exits_two(tmp_path, capsys):
+    assert main(["run", "--preset", "eg1", "--snapshot-step", "0",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert "snapshot_step" in capsys.readouterr().err
 
 
 def test_snapshot_step_override(tmp_path):
@@ -172,7 +182,47 @@ def test_compare_usage_errors(capsys):
                  "--window", "1:500"]) == 2
     assert main(["compare", "eg1", "--seeds", "", "--steps", "30",
                  "--window", "1:30"]) == 2
-    capsys.readouterr()
+    assert main(["compare", "eg1", "--seeds", "1", "--steps", "30",
+                 "--window", "0:30"]) == 2
+    assert main(["compare", "eg1", "--seeds", "1", "--steps", "30",
+                 "--window", "30:10"]) == 2
+    assert main(["compare", "eg1", "--seeds", "1,x", "--steps", "30",
+                 "--window", "1:30"]) == 2
+    assert main(["compare", "eg1", "--seeds", "-1", "--steps", "30",
+                 "--window", "1:30"]) == 2
+    assert capsys.readouterr().out == ""  # rejected before any run
+
+
+def test_compare_steps_out_of_range_exits_two(capsys):
+    assert main(["compare", "eg1", "--seeds", "1", "--steps", "0",
+                 "--window", "1:1"]) == 2
+    assert "steps" in capsys.readouterr().err
+
+
+def _table_rows(out):
+    """Preset name -> the other fields of its table line."""
+    return {f[0]: f[1:] for f in map(str.split, out.splitlines()) if f and f[0].startswith("eg")}
+
+
+def test_compare_reports_aborted_row_and_exits_three(capsys):
+    code = main(["compare", "eg4-FB3", "eg4-BL", "--seeds", "1", "--steps", "400",
+                 "--window", "301:400"])
+    assert code == 3
+    captured = capsys.readouterr()
+    rows = _table_rows(captured.out)
+    assert list(rows) == ["eg4-FB3", "eg4-BL"]
+    assert rows["eg4-FB3"][:5] == ["-", "-", "1/1", "(step", "322)"]
+    assert float(rows["eg4-BL"][0]) < 1e-5
+    assert rows["eg4-BL"][2] == "0/1"
+    assert "ratio" not in captured.out  # only one row has a median
+    assert "1 of 2 runs aborted" in captured.err
+
+
+def test_compare_family_prefix_expands_to_members(capsys):
+    assert main(["compare", "eg4", "--seeds", "1", "--steps", "60",
+                 "--window", "41:60"]) == 0
+    rows = _table_rows(capsys.readouterr().out)
+    assert list(rows) == ["eg4-BL", "eg4-PB2", "eg4-FB3", "eg4-CB4"]
 
 
 # --- selftest subcommand -----------------------------------------------------------------

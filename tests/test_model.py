@@ -9,11 +9,7 @@ from plmpc.basis import AtanPair, Constant, Fourier, Polynomial, Zero
 from plmpc.model import (
     History,
     ModelStructure,
-    coeff_f,
-    coeff_g,
     coeff_g_grid,
-    predict,
-    prediction_error,
     regressor,
 )
 
@@ -141,26 +137,17 @@ def test_prediction_linear_consistency(yl, ul, a, b, c):
     phi = regressor(CONST3, y, u, 1)
     theta = np.array([a, b, c])
     direct = -a * yl + b * ul + c
-    assert abs(predict(theta, phi) - direct) < 1e-12 * (1 + abs(direct))
+    assert abs(float(theta @ phi) - direct) < 1e-12 * (1 + abs(direct))
 
 
-def test_prediction_error_sign():
-    assert prediction_error([1.0, 1.0, 0.0], [0.3, 0.2, 0.0], 1.0) == pytest.approx(0.5)
-
-
-def test_predict_shape_mismatch():
-    with pytest.raises(ValueError):
-        predict([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
-# --- pointwise identified coefficients ---------------------------------------------
+# --- identified coefficients -------------------------------------------------------
 
 def test_coeff_g_atan_dictionary_frozen_value():
     s = ModelStructure(1, (Constant(),), (AtanPair(),), None)
     theta = np.array([-1.1, 0.9, 0.5])
     # 0.9 + 0.5*atan(1)
-    assert coeff_g(s, theta, 1, 1.0) == pytest.approx(1.2926990816987241, abs=1e-15)
-    assert coeff_f(s, theta, 1, 123.0) == pytest.approx(-1.1)
+    assert coeff_g_grid(s, theta, 1, [1.0])[0] == pytest.approx(1.2926990816987241, abs=1e-15)
+    assert theta[s.f_slice(1)] @ s.f_specs[0].eval(123.0) == pytest.approx(-1.1)
 
 
 def test_coeff_g_grid_matches_pointwise():
@@ -169,4 +156,5 @@ def test_coeff_g_grid_matches_pointwise():
     ys = np.linspace(-6, 6, 31)
     grid = coeff_g_grid(s, theta, 1, ys)
     for yv, gv in zip(ys, grid):
-        assert gv == pytest.approx(coeff_g(s, theta, 1, float(yv)), abs=1e-14)
+        pointwise = theta[s.g_slice(1)] @ s.g_specs[0].eval(float(yv))
+        assert gv == pytest.approx(pointwise, abs=1e-14)
