@@ -8,6 +8,7 @@ inverts it exactly, so a summary's config echo reproduces the run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import yaml
@@ -45,9 +46,12 @@ def _get(section: dict, path: str, key: str, required=True, default=None):
 
 def _as_float(value, path: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{path} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{path} must be finite, got {value!r}")
+    return number
 
 
 def _as_int(value, path: str) -> int:
@@ -186,13 +190,16 @@ def from_document(doc: dict) -> SimConfig:
     theta0 = _get(r, "rls", "theta0")
     if not isinstance(theta0, list) or not theta0:
         raise ConfigError("rls.theta0 must be a nonempty list of numbers")
-    rls = RlsSettings(
-        theta0=tuple(_as_float(v, f"rls.theta0[{i}]") for i, v in enumerate(theta0)),
-        r0=_as_float(_get(r, "rls", "r0"), "rls.r0"),
-        forgetting=_as_float(_get(r, "rls", "forgetting"), "rls.forgetting"),
-        filter_threshold=_as_float(
-            _get(r, "rls", "filter_threshold", required=False, default=1e-4),
-            "rls.filter_threshold"))
+    try:
+        rls = RlsSettings(
+            theta0=tuple(_as_float(v, f"rls.theta0[{i}]") for i, v in enumerate(theta0)),
+            r0=_as_float(_get(r, "rls", "r0"), "rls.r0"),
+            forgetting=_as_float(_get(r, "rls", "forgetting"), "rls.forgetting"),
+            filter_threshold=_as_float(
+                _get(r, "rls", "filter_threshold", required=False, default=1e-4),
+                "rls.filter_threshold"))
+    except ValueError as exc:
+        raise ConfigError(f"rls: {exc}") from exc
 
     c = _section(doc, "mpc")
     u_min = c.get("u_min")

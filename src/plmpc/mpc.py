@@ -4,9 +4,12 @@ Each control step anchors a prediction grid one step ahead of the data,
 rolls the identified recursion out over the horizon, freezes its
 output-dependent coefficients along that trajectory, and solves the
 resulting equality-constrained QP. The QP's control block feeds the next
-relinearization; a quasi-Newton update on the fixed-point residual
-accelerates the loop, guarded so an accepted iterate never has a larger
-residual than its predecessor.
+relinearization, so the plan is a fixed point of that map. `subiterate`
+looks for it in one loop: each pass evaluates one candidate (the start, a
+quasi-Newton step, or the plain step retried after a rejected quasi-Newton
+step) and accepts it only if it is the start or its residual does not grow.
+The loop ends converged, with the QP budget spent, stagnated (a plain step
+was rejected) or diverged (a rollout left the finite range).
 """
 
 from __future__ import annotations
@@ -261,90 +264,76 @@ def _relinearize_once(structure, theta, state, config, controls):
     return x[config.horizon:], qdiag
 
 
+def _secant_update(inv_jac, du, dg):
+    """Rank-one secant update of the inverse Jacobian of the residual.
+
+    Returns the new inverse Jacobian and whether it is exactly minus
+    identity, which is where it restarts when the update is ill-conditioned.
+    """
+    jdg = inv_jac @ dg
+    denom = float(du @ jdg)
+    if abs(denom) > 1e-12 * (1.0 + float(np.linalg.norm(du)) * float(np.linalg.norm(jdg))):
+        return inv_jac + np.outer(du - jdg, du @ inv_jac) / denom, False
+    return -np.eye(du.size), True
+
+
 def subiterate(structure: ModelStructure, theta, state: HorizonState,
                config: HorizonConfig, u_init: np.ndarray) -> tuple[np.ndarray, StepDiagnostics]:
     """Drive the relinearization map to a fixed point within the QP budget.
 
-    The quasi-Newton step uses a rank-one secant update of the inverse
-    Jacobian, initialized at minus identity so the first step reproduces the
-    plain relinearization iteration. A candidate is accepted only if its
-    residual does not grow; a rejected quasi-Newton step falls back to the
-    plain step, and if that also grows the loop stops at the best iterate.
+    Each pass evaluates one candidate plan u through the map M and accepts
+    it by one rule: the start is always accepted, any later candidate only if
+    its residual |M(u) - u| does not exceed the accepted one. The first
+    candidate is `u_init`. After an acceptance the next candidate is the
+    quasi-Newton step, whose inverse Jacobian starts at minus identity (so
+    its first step is the plain iteration u <- M(u)) and takes a secant
+    update each time such a step is accepted. A rejected quasi-Newton step is
+    retried once as the plain step from the accepted iterate.
+
+    The loop ends converged (accepted residual below fixed_point_tol relative
+    to the plan), budget spent (subiterations QP solves), stagnated (a plain
+    step was rejected) or diverged (a rollout left the finite range). It
+    returns M of the accepted iterate, or `u_init` if the first rollout
+    diverged.
     """
     diag = StepDiagnostics()
     u_acc = np.array(u_init, dtype=float, copy=True)
+    mapped_acc, g_acc, res_acc = u_acc, None, math.inf
+    inv_jac = -np.eye(u_acc.size)
+    plain = True     # inv_jac is exactly minus identity
+    kind = "start"   # source of the next candidate: start, newton or retry
 
-    def apply_map(u):
-        u_next, qdiag = _relinearize_once(structure, theta, state, config, u)
+    while diag.qp_solves < config.subiterations:
+        if kind == "start":
+            u_cand = u_acc
+        elif kind == "retry":
+            u_cand = mapped_acc.copy()
+        elif not res_acc >= config.fixed_point_tol * (1.0 + float(np.linalg.norm(u_acc))):
+            break  # converged; a NaN start residual also stops here
+        else:
+            u_cand = u_acc - inv_jac @ g_acc
+        try:
+            mapped_cand, qdiag = _relinearize_once(structure, theta, state, config, u_cand)
+        except RolloutDivergedError:
+            diag.diverged = True
+            break
         diag.qp_solves += 1
         diag.qp_iterations += qdiag.iterations
         diag.ridge_applied = diag.ridge_applied or qdiag.ridge_applied
-        return u_next
-
-    try:
-        mapped_acc = apply_map(u_acc)
-    except RolloutDivergedError:
-        diag.diverged = True
-        return u_acc, diag
-
-    g_acc = mapped_acc - u_acc
-    res_acc = float(np.linalg.norm(g_acc))
-    diag.accepted_residuals.append(res_acc)
-
-    inv_jac = -np.eye(u_acc.size)
-    plain = True  # inv_jac is exactly minus identity
-
-    while (diag.qp_solves < config.subiterations
-           and res_acc >= config.fixed_point_tol * (1.0 + float(np.linalg.norm(u_acc)))):
-        u_cand = u_acc - inv_jac @ g_acc
-        was_plain = plain
-        try:
-            mapped_cand = apply_map(u_cand)
-        except RolloutDivergedError:
-            diag.diverged = True
-            break
         g_cand = mapped_cand - u_cand
         res_cand = float(np.linalg.norm(g_cand))
 
-        du = u_cand - u_acc
-        dg = g_cand - g_acc
-        jdg = inv_jac @ dg
-        denom = float(du @ jdg)
-        if abs(denom) > 1e-12 * (1.0 + float(np.linalg.norm(du)) * float(np.linalg.norm(jdg))):
-            inv_jac = inv_jac + np.outer(du - jdg, du @ inv_jac) / denom
-            plain = False
-        else:
-            inv_jac = -np.eye(u_acc.size)
-            plain = True
-
-        if res_cand <= res_acc:
+        if kind == "start" or res_cand <= res_acc:
+            if kind == "newton":
+                inv_jac, plain = _secant_update(inv_jac, u_cand - u_acc, g_cand - g_acc)
             u_acc, mapped_acc, g_acc, res_acc = u_cand, mapped_cand, g_cand, res_cand
             diag.accepted_residuals.append(res_acc)
-            continue
-
-        if was_plain:
+            kind = "newton"
+        elif plain:
             diag.stagnated = True
             break
-
-        # discard the quasi-Newton candidate, take the plain step from u_acc
-        inv_jac = -np.eye(u_acc.size)
-        plain = True
-        if diag.qp_solves >= config.subiterations:
-            break
-        u_plain = mapped_acc.copy()
-        try:
-            mapped_plain = apply_map(u_plain)
-        except RolloutDivergedError:
-            diag.diverged = True
-            break
-        g_plain = mapped_plain - u_plain
-        res_plain = float(np.linalg.norm(g_plain))
-        if res_plain <= res_acc:
-            u_acc, mapped_acc, g_acc, res_acc = u_plain, mapped_plain, g_plain, res_plain
-            diag.accepted_residuals.append(res_acc)
         else:
-            diag.stagnated = True
-            break
+            inv_jac, plain, kind = -np.eye(u_acc.size), True, "retry"
 
     diag.residual = res_acc
     return mapped_acc.copy(), diag

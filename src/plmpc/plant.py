@@ -117,6 +117,14 @@ class RlsSettings:
     forgetting: float
     filter_threshold: float = 1e-4
 
+    def __post_init__(self):
+        if not self.r0 > 0.0:
+            raise ValueError(f"r0 must be positive, got {self.r0}")
+        if not 0.0 < self.forgetting <= 1.0:
+            raise ValueError(f"forgetting must be in (0, 1], got {self.forgetting}")
+        if not self.filter_threshold > 0.0:
+            raise ValueError(f"filter_threshold must be positive, got {self.filter_threshold}")
+
 
 @dataclass(frozen=True)
 class OutputSettings:

@@ -100,17 +100,17 @@ def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
 
     ridge_applied = False
     try:
-        _factor(h_red)
+        chol = _factor(h_red)
     except np.linalg.LinAlgError:
         h_red = h_red + RIDGE * np.eye(m)
         ridge_applied = True
         try:
-            _factor(h_red)
+            chol = _factor(h_red)
         except np.linalg.LinAlgError as exc:
             raise QpError("reduced Hessian is not positive definite even with ridge") from exc
 
     if problem.u_min is None:
-        u = _solve_free(h_red, f_red, np.zeros(m, dtype=int), np.zeros(m))
+        u = scipy.linalg.cho_solve(chol, -0.5 * f_red)
         iterations = 1
         active = 0
     else:

@@ -125,6 +125,12 @@ def test_run_usage_errors_exit_two(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("schema: wrong-schema\n")
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+    doc = to_document(preset("eg4-BL"))
+    doc["sim"]["warmup_std"] = float("nan")
+    bad.write_text(yaml.safe_dump(doc))
+    capsys.readouterr()
+    assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "sim.warmup_std" in capsys.readouterr().err
 
 
 def test_run_config_theta_mismatch_cites_expected_length(tmp_path, capsys):

@@ -63,6 +63,23 @@ def test_wrong_type_error_names_the_path(eg1_doc):
     doc["sim"]["seed"] = 1.5
     with pytest.raises(ConfigError, match=r"sim\.seed"):
         from_document(doc)
+    # non-finite numbers, and RLS settings the estimator cannot start from
+    nan, inf = float("nan"), float("inf")
+    for section, key, value, path in [
+            ("sim", "y0", nan, r"sim\.y0"),
+            ("sim", "warmup_std", nan, r"sim\.warmup_std"),
+            ("command", "amplitude", inf, r"command\.amplitude"),
+            ("mpc", "q", nan, r"mpc\.q"),
+            ("rls", "r0", nan, r"rls\.r0"),
+            ("rls", "forgetting", nan, r"rls\.forgetting"),
+            ("rls", "r0", -1.0, r"rls: r0"),
+            ("rls", "forgetting", 1.5, r"rls: forgetting"),
+            ("rls", "forgetting", 0.0, r"rls: forgetting"),
+            ("rls", "filter_threshold", 0.0, r"rls: filter_threshold")]:
+        doc = copy.deepcopy(eg1_doc)
+        doc[section][key] = value
+        with pytest.raises(ConfigError, match=path):
+            from_document(doc)
 
 
 def test_unknown_schema_rejected(eg1_doc):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from plmpc import qp
-from plmpc.basis import AtanPair, Constant
+from plmpc.basis import AtanPair, Constant, Fourier
 from plmpc.mpc import (
     HorizonConfig,
     HorizonState,
@@ -24,6 +24,7 @@ from plmpc.model import History, ModelStructure
 
 LIN = ModelStructure(1, (Constant(),), (Constant(),), None)
 ATAN = ModelStructure(1, (Constant(),), (AtanPair(),), None)
+FOURIER = ModelStructure(1, (Constant(),), (Fourier(2, 6.0),), None)
 
 
 def _hist(pad, values):
@@ -198,6 +199,42 @@ def test_accepted_residuals_never_increase():
     res = diag.accepted_residuals
     assert res, "at least the first residual must be recorded"
     assert all(b <= a + 1e-15 for a, b in zip(res, res[1:]))
+
+
+# The two states below came out of a random search for the retry path; their
+# plans are pinned as regression values.
+
+def test_rejected_retry_stagnates_at_the_accepted_iterate():
+    # start and one plain step accepted, then the quasi-Newton step and its
+    # plain retry from the accepted iterate both grow the residual
+    cfg = HorizonConfig(horizon=8, subiterations=10, q_weight=1.0, r_weight=4e-3)
+    commands = [-0.06, -0.21, -0.37, -0.53, -0.68, -0.83, -0.98, -1.13]
+    theta = np.array([-1.09, 0.27, 0.59])
+    u, diag = subiterate(ATAN, theta, _state(-0.61, commands), cfg, np.zeros(8))
+    assert (diag.qp_solves, len(diag.accepted_residuals), diag.stagnated) == (4, 2, True)
+    assert not diag.diverged
+    assert diag.residual == diag.accepted_residuals[-1]
+    expected = [-5.084759788082192, 0.6104244608313406, 0.02477992579461957,
+                0.954653132790183, 1.6281941849480437, 1.3469949483196784,
+                0.7662265337306282, 0.3930213449029642]
+    assert np.max(np.abs(u - expected)) < 1e-12
+
+
+def test_accepted_retry_resumes_the_quasi_newton_loop():
+    # the fourth solve's quasi-Newton step is rejected and its plain retry
+    # accepted; the loop then runs on until the budget is spent
+    cfg = HorizonConfig(horizon=8, subiterations=10, q_weight=1.0, r_weight=4e-2)
+    commands = [3.14, 3.13, 3.11, 3.08, 3.04, 3.0, 2.95, 2.89]
+    theta = np.array([-1.28, 0.69, 0.39, 0.28, -0.21, -0.38])
+    u, diag = subiterate(FOURIER, theta, _state(0.27, commands), cfg, np.zeros(8))
+    assert (diag.qp_solves, len(diag.accepted_residuals), diag.stagnated) == (10, 9, False)
+    assert not diag.diverged
+    res = diag.accepted_residuals
+    assert all(b <= a for a, b in zip(res, res[1:]))
+    expected = [3.2302204673830417, -0.5677626835098298, -0.7398315840525197,
+                -0.750009982950931, -0.7543303785330474, -0.7499039784000392,
+                -0.7525735583124965, -0.7297589626575194]
+    assert np.max(np.abs(u - expected)) < 1e-12
 
 
 def test_no_control_authority_yields_zero_plan():
