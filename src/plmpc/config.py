@@ -9,6 +9,7 @@ inverts it exactly, so a summary's config echo reproduces the run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import replace
 
 import yaml
@@ -45,10 +46,10 @@ def _get(section: dict, path: str, key: str, required=True, default=None):
     return section[key]
 
 def _as_float(value, path: str) -> float:
-    try:
-        number = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{path} must be a number, got {value!r}") from None
+    # float() would also take True and "0.1"; a config number must be a number
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
+    number = float(value)
     if not math.isfinite(number):
         raise ConfigError(f"{path} must be finite, got {value!r}")
     return number

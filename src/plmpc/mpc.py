@@ -146,34 +146,30 @@ def rollout(structure: ModelStructure, theta, state: HorizonState,
     RolloutDivergedError as soon as a value stops being finite.
     """
     n = structure.order
-    horizon = controls.size
     fs, gs, h_row = structure.split(theta)
-    h_spec = structure.h_spec
+    lags = [(lag, fs[lag - 1], structure.f_specs[lag - 1].eval,
+             gs[lag - 1], structure.g_specs[lag - 1].eval) for lag in range(1, n + 1)]
+    h_eval = None if structure.h_spec is None else structure.h_spec.eval
 
-    ys = np.empty(horizon + n)          # grid indices 2-n .. horizon+1
-    ys[:n - 1] = state.past_y
-    ys[n - 1] = state.anchor
-    us = np.empty(horizon + n - 1)      # grid indices 2-n .. horizon
-    us[:n - 1] = state.past_u
-    us[n - 1:] = controls
+    ys = state.past_y.tolist() + [state.anchor]     # grid indices 2-n .. 1, grows to horizon+1
+    us = state.past_u.tolist() + controls.tolist()   # grid indices 2-n .. horizon
 
     # overflow is the expected divergence signal here, not an anomaly: any
     # non-finite product lands in acc and trips the check before it is stored
     with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(horizon):
+        for r in range(controls.size):
             acc = 0.0
-            for lag in range(1, n + 1):
+            for lag, f_row, f_eval, g_row, g_eval in lags:
                 yl = ys[r + n - lag]
-                ul = us[r + n - lag]
-                acc += -(fs[lag - 1] @ structure.f_specs[lag - 1].eval(yl)) * yl
-                acc += (gs[lag - 1] @ structure.g_specs[lag - 1].eval(yl)) * ul
-            if h_spec is not None:
-                acc += h_row @ h_spec.eval(ys[r + n - 1])
+                acc += -(f_row @ f_eval(yl)) * yl
+                acc += (g_row @ g_eval(yl)) * us[r + n - lag]
+            if h_eval is not None:
+                acc += h_row @ h_eval(ys[r + n - 1])
             if not math.isfinite(acc):
                 raise RolloutDivergedError(
                     f"prediction left finite range at horizon step {r + 1}")
-            ys[r + n] = acc
-    return ys[n:]
+            ys.append(acc)
+    return np.array(ys[n:])
 
 
 def rollout_frozen(table: SdcTable, state: HorizonState, controls: np.ndarray) -> np.ndarray:
@@ -230,21 +226,21 @@ def assemble(table: SdcTable, state: HorizonState, config: HorizonConfig,
     horizon = table.horizon
     f_pred = np.zeros((horizon, horizon))
     g_pred = np.zeros((horizon, horizon))
+    for lag in range(1, n + 1):
+        # row r (grid index r + 2) reaches y and u at grid index r + 2 - lag;
+        # planned outputs start at grid index 2 and planned controls at 1
+        rows = np.arange(lag, horizon)
+        f_pred[rows, rows - lag] = table.f_coef[lag:, lag - 1]
+        rows = np.arange(lag - 1, horizon)
+        g_pred[rows, rows - lag + 1] = table.g_coef[lag - 1:, lag - 1]
     rhs = table.offset.copy()
-    for r in range(horizon):
-        i = r + 2
+    for r in range(min(n, horizon)):  # only the first `order` rows reach known data
         for lag in range(1, n + 1):
-            j = i - lag
-            fc = table.f_coef[r, lag - 1]
-            if j >= 2:
-                f_pred[r, j - 2] = fc
-            else:
-                rhs[r] += fc * state.y_known(j)
-            gc = table.g_coef[r, lag - 1]
-            if j >= 1:
-                g_pred[r, j - 1] = gc
-            else:
-                rhs[r] += gc * state.u_known(j)
+            j = r + 2 - lag
+            if j < 2:
+                rhs[r] += table.f_coef[r, lag - 1] * state.y_known(j)
+            if j < 1:
+                rhs[r] += table.g_coef[r, lag - 1] * state.u_known(j)
 
     a_eq = np.hstack([np.eye(horizon) - f_pred, -g_pred])
     cost_quad = np.zeros((2 * horizon, 2 * horizon))

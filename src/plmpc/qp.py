@@ -9,6 +9,8 @@ in U alone that a primal active-set loop solves exactly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.linalg
 
@@ -17,6 +19,12 @@ __all__ = ["QpProblem", "QpDiagnostics", "QpError", "solve"]
 RIDGE = 1e-10
 FEAS_TOL = 1e-12
 OPT_TOL = 1e-10
+
+# The LAPACK routines behind scipy.linalg's solve_triangular, cho_factor and
+# cho_solve, called with the arguments those wrappers pass, so the results
+# are the same bits without the wrappers' per-call overhead.
+_TRTRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
+    ("trtrs", "potrf", "potrs"), dtype=np.float64)
 
 
 class QpError(RuntimeError):
@@ -63,12 +71,21 @@ class QpProblem:
         if (self.u_min is None) != (self.u_max is None):
             raise ValueError("bounds must be given as a pair or not at all")
         out_block = self.a_eq[:, :m]
-        if not np.array_equal(np.diag(out_block), np.ones(m)):
+        if not (out_block.diagonal() == 1.0).all():
             raise ValueError("output block of a_eq must have unit diagonal")
-        if np.any(np.triu(out_block, 1) != 0.0):
+        if out_block[_strict_upper(m)].any():
             raise ValueError("output block of a_eq must be lower triangular")
-        if np.any(self.cost_quad[:m, m:]) or np.any(self.cost_quad[m:, :m]):
+        if self.cost_quad[:m, m:].any() or self.cost_quad[m:, :m].any():
             raise ValueError("cost_quad must be block diagonal in the (Y, U) split")
+
+
+@functools.lru_cache(maxsize=16)
+def _strict_upper(m: int) -> tuple[np.ndarray, np.ndarray]:
+    # index pair of the strict upper triangle of an m x m matrix, cached
+    # because building it costs more than the check it serves
+    rows, cols = np.triu_indices(m, 1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
 
 
 class QpDiagnostics:
@@ -91,8 +108,9 @@ def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
     hu = problem.cost_quad[m:, m:]
 
     # eliminate Y = y_base + trans @ U through the unit-triangular equality block
-    trans = scipy.linalg.solve_triangular(lower, g_block, lower=True, unit_diagonal=True)
-    y_base = scipy.linalg.solve_triangular(lower, problem.b_eq, lower=True, unit_diagonal=True)
+    _check_finite(problem.a_eq, problem.b_eq)  # a_eq holds lower and -g_block
+    trans = _unit_lower_solve(lower, g_block)
+    y_base = _unit_lower_solve(lower, problem.b_eq)
 
     h_red = trans.T @ hy @ trans + hu
     h_red = 0.5 * (h_red + h_red.T)
@@ -110,7 +128,7 @@ def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
             raise QpError("reduced Hessian is not positive definite even with ridge") from exc
 
     if problem.u_min is None:
-        u = scipy.linalg.cho_solve(chol, -0.5 * f_red)
+        u = _cho_solve(chol, -0.5 * f_red)
         iterations = 1
         active = 0
     else:
@@ -121,8 +139,41 @@ def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
     return x, QpDiagnostics(iterations, ridge_applied, active)
 
 
+def _check_finite(*arrays):
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _unit_lower_solve(lower, b):
+    """Solve lower @ x = b, lower unit lower triangular (only its strict
+    lower triangle is read). `lower` is a row-major view, so LAPACK gets its
+    transpose as an upper triangle and solves the transposed system."""
+    x, info = _TRTRS(lower.T, b, lower=0, trans=1, unitdiag=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
 def _factor(mat):
-    return scipy.linalg.cho_factor(mat, lower=True)
+    """Lower Cholesky factor of a symmetric matrix; LinAlgError if it is not
+    positive definite. The strict upper triangle of the result is not zeroed."""
+    _check_finite(mat)
+    chol, info = _POTRF(mat, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrf")
+    return chol
+
+
+def _cho_solve(chol, b):
+    _check_finite(b)
+    x, info = _POTRS(chol, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal potrs")
+    return x
 
 
 def _solve_free(h_red, f_red, status, bound_vals):
@@ -135,7 +186,7 @@ def _solve_free(h_red, f_red, status, bound_vals):
         rhs = -0.5 * f_red[free]
         if pinned.size:
             rhs = rhs - h_red[np.ix_(free, pinned)] @ u[pinned]
-        u[free] = scipy.linalg.cho_solve(_factor(h_red[np.ix_(free, free)]), rhs)
+        u[free] = _cho_solve(_factor(h_red[np.ix_(free, free)]), rhs)
     return u
 
 

@@ -55,6 +55,8 @@ class DirectionalForgettingRls:
         dim = theta0.size
         r0 = np.asarray(r0, dtype=float)
         if r0.ndim == 0:
+            if not (math.isfinite(r0) and r0 > 0.0):
+                raise ValueError(f"r0 must be positive, got {float(r0)}")
             info = float(r0) * np.eye(dim)
         elif r0.shape == (dim, dim):
             info = r0.copy()

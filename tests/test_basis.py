@@ -126,6 +126,32 @@ def test_grid_matches_pointwise(x):
         assert np.array_equal(row, spec.eval(x)), spec
 
 
+def _assert_grid_is_stacked_rows(xs):
+    # the vectorised grids (Polynomial, Fourier, SinPair, Constant, Zero)
+    # must give the scalar path's bits, or rollout and build_sdc disagree
+    for spec in (Polynomial(0), Polynomial(4), Fourier(1, 6.0), Fourier(5, 2.5),
+                 SPLINE4, AtanPair(), SinPair(), Constant(), Zero()):
+        rows = np.stack([spec.eval(x) for x in xs])
+        grid = spec.eval_grid(np.array(xs))
+        assert np.array_equal(grid, rows), spec
+        assert grid.tobytes() == rows.tobytes(), spec  # signed zeros too
+
+
+@given(st.lists(st.one_of(finite_xs, st.floats(min_value=-1e6, max_value=1e6)),
+                min_size=1, max_size=25))
+@settings(max_examples=80)
+def test_grid_matches_stacked_pointwise_rows(xs):
+    _assert_grid_is_stacked_rows(xs)
+
+
+def test_grid_matches_stacked_pointwise_rows_on_a_dense_random_grid():
+    # last-bit disagreements are rare (np.arctan against math.atan: under 1%
+    # of arguments), so hypothesis's small grids alone can miss them
+    rng = np.random.default_rng(13)
+    _assert_grid_is_stacked_rows(np.concatenate([rng.uniform(-10.0, 10.0, 3000),
+                                                 rng.uniform(-1e6, 1e6, 1000)]))
+
+
 @given(st.floats(min_value=-2.0, max_value=2.0 - 1e-9))
 def test_spline_value_bumps_sum_to_one_between_interior_nodes(x):
     # between the first and last carrier node exactly two value bumps overlap

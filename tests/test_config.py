@@ -75,7 +75,11 @@ def test_wrong_type_error_names_the_path(eg1_doc):
             ("rls", "r0", -1.0, r"rls: r0"),
             ("rls", "forgetting", 1.5, r"rls: forgetting"),
             ("rls", "forgetting", 0.0, r"rls: forgetting"),
-            ("rls", "filter_threshold", 0.0, r"rls: filter_threshold")]:
+            ("rls", "filter_threshold", 0.0, r"rls: filter_threshold"),
+            # float() takes these, but YAML booleans and quoted numbers are
+            # type errors in a config document
+            ("mpc", "q", True, r"mpc\.q"),
+            ("sim", "y0", "0.1", r"sim\.y0")]:
         doc = copy.deepcopy(eg1_doc)
         doc[section][key] = value
         with pytest.raises(ConfigError, match=path):

@@ -131,6 +131,14 @@ def test_infeasible_box_raises():
         solve(_scalar_problem(1.0, 0.5, 2.0, 0.0, 1.0, u_min=2.0, u_max=-2.0))
 
 
+def test_non_finite_data_raises_value_error():
+    # NaN or inf in the data, or a reduced Hessian that overflows (gain 1e200),
+    # must stop the solve before it reaches LAPACK
+    for gain, offset in ((2.0, np.nan), (np.inf, 0.0), (1e200, 0.0)):
+        with pytest.raises(ValueError, match="infs or NaNs"), np.errstate(over="ignore"):
+            solve(_scalar_problem(1.0, 0.5, gain, offset, 3.0))
+
+
 # --- validation ------------------------------------------------------------------------
 
 def test_problem_shape_validation():

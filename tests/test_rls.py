@@ -155,6 +155,13 @@ def test_constructor_rejections():
         DirectionalForgettingRls([0.0, 0.0], np.eye(3), 0.5, 1e-4)
 
 
+def test_scalar_r0_must_be_finite_and_positive():
+    # checked before the matrix is built, so the message names the real fault
+    for bad in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="r0 must be positive"):
+            DirectionalForgettingRls([0.0, 0.0], bad, 0.5, 1e-4)
+
+
 def test_step_input_validation():
     est = DirectionalForgettingRls([0.0, 0.0], 1.0, 0.5, 1e-4)
     with pytest.raises(ValueError):
