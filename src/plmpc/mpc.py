@@ -31,7 +31,6 @@ __all__ = [
     "RolloutDivergedError",
     "anchor_prediction",
     "rollout",
-    "rollout_frozen",
     "build_sdc",
     "assemble",
     "subiterate",
@@ -172,25 +171,6 @@ def rollout(structure: ModelStructure, theta, state: HorizonState,
     return np.array(ys[n:])
 
 
-def rollout_frozen(table: SdcTable, state: HorizonState, controls: np.ndarray) -> np.ndarray:
-    """Propagate the frozen linear recursion; same grid conventions as rollout."""
-    n = table.order
-    horizon = controls.size
-    ys = np.empty(horizon + n)
-    ys[:n - 1] = state.past_y
-    ys[n - 1] = state.anchor
-    us = np.empty(horizon + n - 1)
-    us[:n - 1] = state.past_u
-    us[n - 1:] = controls
-    for r in range(horizon):
-        acc = table.offset[r]
-        for lag in range(1, n + 1):
-            acc += table.f_coef[r, lag - 1] * ys[r + n - lag]
-            acc += table.g_coef[r, lag - 1] * us[r + n - lag]
-        ys[r + n] = acc
-    return ys[n:]
-
-
 def build_sdc(structure: ModelStructure, theta, state: HorizonState,
               planned: np.ndarray) -> SdcTable:
     """Freeze the output-dependent coefficients along a planned trajectory."""
@@ -215,10 +195,10 @@ def build_sdc(structure: ModelStructure, theta, state: HorizonState,
 
 
 def assemble(table: SdcTable, state: HorizonState, config: HorizonConfig,
-             guess: np.ndarray | None = None) -> QpProblem:
+             u_guess: np.ndarray | None = None) -> QpProblem:
     """Stack the frozen recursion into the horizon QP.
 
-    Terms that reference planned outputs/controls land in the equality block;
+    Terms that reference planned outputs/controls land in f_pred and g_pred;
     references to the anchor or to measured data fold into the right-hand
     side together with the frozen offsets.
     """
@@ -241,21 +221,16 @@ def assemble(table: SdcTable, state: HorizonState, config: HorizonConfig,
                 rhs[r] += table.f_coef[r, lag - 1] * state.y_known(j)
             if j < 1:
                 rhs[r] += table.g_coef[r, lag - 1] * state.u_known(j)
-
-    a_eq = np.hstack([np.eye(horizon) - f_pred, -g_pred])
-    cost_quad = np.zeros((2 * horizon, 2 * horizon))
-    cost_quad[:horizon, :horizon] = config.q_weight * np.eye(horizon)
-    cost_quad[horizon:, horizon:] = config.r_weight * np.eye(horizon)
-    cost_lin = np.concatenate([-2.0 * config.q_weight * state.commands, np.zeros(horizon)])
-    return QpProblem(cost_quad, cost_lin, a_eq, rhs,
-                     u_min=config.u_min, u_max=config.u_max, initial_guess=guess)
+    return QpProblem(f_pred, g_pred, rhs, config.q_weight, config.r_weight,
+                     -2.0 * config.q_weight * state.commands,
+                     u_min=config.u_min, u_max=config.u_max, u_guess=u_guess)
 
 
 def _relinearize_once(structure, theta, state, config, controls):
     """One fixed-point evaluation: rollout, freeze, assemble, solve."""
     planned = rollout(structure, theta, state, controls)
     table = build_sdc(structure, theta, state, planned)
-    problem = assemble(table, state, config, guess=np.concatenate([planned, controls]))
+    problem = assemble(table, state, config, u_guess=controls)
     x, qdiag = qp.solve(problem)
     return x[config.horizon:], qdiag
 

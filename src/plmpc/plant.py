@@ -141,6 +141,9 @@ class OutputSettings:
             raise ValueError("grid_points must be >= 2")
         if not self.grid_lo < self.grid_hi:
             raise ValueError("grid_lo must be below grid_hi")
+        for start, end in self.windows:
+            if not 1 <= start <= end:
+                raise ValueError(f"windows entry [{start}, {end}] must have 1 <= start <= end")
 
 
 @dataclass(frozen=True)

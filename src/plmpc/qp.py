@@ -1,15 +1,18 @@
-"""Structured dense QP solver for horizon problems.
+"""Structured QP solver for horizon problems.
 
 The decision vector stacks predicted outputs Y (length horizon) over planned
-controls U (length horizon). The equality block is always
-[I - F_p | -G_p] with F_p strictly lower triangular, so Y can be eliminated
-by unit-triangular forward substitution, leaving a dense box-constrained QP
-in U alone that a primal active-set loop solves exactly.
+controls U (length horizon). The problem is
+
+    min  q |Y|^2 + r |U|^2 + y_lin' Y   s.t.  Y = F_p Y + G_p U + b,  bounds on U,
+
+with F_p strictly lower triangular, so Y is eliminated by unit-triangular
+forward substitution, leaving a dense box-constrained QP in U alone that a
+primal active-set loop solves exactly.
 """
 
 from __future__ import annotations
 
-import functools
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,90 +34,71 @@ class QpError(RuntimeError):
     """Solver failure: infeasible bounds, singular Hessian, or budget exceeded."""
 
 
+@dataclass(frozen=True, eq=False)
 class QpProblem:
-    """min x' cost_quad x + cost_lin' x  s.t.  a_eq x = b_eq, bounds on the U block.
+    """min q_weight |Y|^2 + r_weight |U|^2 + y_lin' Y  s.t.  Y = f_pred Y + g_pred U + b_eq.
 
-    cost_quad must be block diagonal in the (Y, U) split; bounds, when given,
-    apply to every entry of the U block. initial_guess (optional, full x) only
-    seeds the active set, it cannot change the optimum.
+    f_pred (m x m) must be strictly lower triangular; bounds, when given,
+    apply to every entry of U. u_guess (optional, length m) only seeds the
+    active set, it cannot change the optimum.
     """
 
-    def __init__(self, cost_quad, cost_lin, a_eq, b_eq,
-                 u_min=None, u_max=None, initial_guess=None):
-        self.cost_quad = np.asarray(cost_quad, dtype=float)
-        self.cost_lin = np.asarray(cost_lin, dtype=float)
-        self.a_eq = np.asarray(a_eq, dtype=float)
-        self.b_eq = np.asarray(b_eq, dtype=float)
-        self.u_min = None if u_min is None else float(u_min)
-        self.u_max = None if u_max is None else float(u_max)
-        self.initial_guess = None if initial_guess is None else np.asarray(initial_guess, dtype=float)
-        self._validate()
+    f_pred: np.ndarray
+    g_pred: np.ndarray
+    b_eq: np.ndarray
+    q_weight: float
+    r_weight: float
+    y_lin: np.ndarray
+    u_min: float | None = None
+    u_max: float | None = None
+    u_guess: np.ndarray | None = None
+
+    def __post_init__(self):
+        b_shape = np.shape(self.b_eq)
+        if len(b_shape) != 1 or b_shape[0] < 1:
+            raise ValueError(f"b_eq must be a nonempty vector, got shape {b_shape}")
+        m = b_shape[0]
+        wanted = {"f_pred": (m, m), "g_pred": (m, m), "y_lin": (m,)}
+        if self.u_guess is not None:
+            wanted["u_guess"] = (m,)
+        for name, want in wanted.items():
+            shape = np.shape(getattr(self, name))
+            if shape != want:
+                raise ValueError(f"{name} must have shape {want}, got {shape}")
+        if (self.u_min is None) != (self.u_max is None):
+            raise ValueError("bounds must be given as a pair or not at all")
+        if np.triu(self.f_pred).any():
+            raise ValueError("f_pred must be strictly lower triangular")
 
     @property
     def horizon(self) -> int:
-        return self.a_eq.shape[0]
-
-    def _validate(self) -> None:
-        if self.a_eq.ndim != 2 or self.a_eq.shape[1] != 2 * self.a_eq.shape[0]:
-            raise ValueError(f"a_eq must be (m, 2m), got {self.a_eq.shape}")
-        m = self.a_eq.shape[0]
-        if m < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.b_eq.shape != (m,):
-            raise ValueError(f"b_eq must have shape ({m},), got {self.b_eq.shape}")
-        if self.cost_quad.shape != (2 * m, 2 * m):
-            raise ValueError(f"cost_quad must be ({2*m}, {2*m}), got {self.cost_quad.shape}")
-        if self.cost_lin.shape != (2 * m,):
-            raise ValueError(f"cost_lin must have shape ({2*m},), got {self.cost_lin.shape}")
-        if self.initial_guess is not None and self.initial_guess.shape != (2 * m,):
-            raise ValueError("initial_guess must match the decision vector length")
-        if (self.u_min is None) != (self.u_max is None):
-            raise ValueError("bounds must be given as a pair or not at all")
-        out_block = self.a_eq[:, :m]
-        if not (out_block.diagonal() == 1.0).all():
-            raise ValueError("output block of a_eq must have unit diagonal")
-        if out_block[_strict_upper(m)].any():
-            raise ValueError("output block of a_eq must be lower triangular")
-        if self.cost_quad[:m, m:].any() or self.cost_quad[m:, :m].any():
-            raise ValueError("cost_quad must be block diagonal in the (Y, U) split")
+        return len(self.b_eq)
 
 
-@functools.lru_cache(maxsize=16)
-def _strict_upper(m: int) -> tuple[np.ndarray, np.ndarray]:
-    # index pair of the strict upper triangle of an m x m matrix, cached
-    # because building it costs more than the check it serves
-    rows, cols = np.triu_indices(m, 1)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
+@dataclass(frozen=True)
 class QpDiagnostics:
-    def __init__(self, iterations: int, ridge_applied: bool, active_bounds: int):
-        self.iterations = iterations
-        self.ridge_applied = ridge_applied
-        self.active_bounds = active_bounds
-
-    def __repr__(self):
-        return (f"QpDiagnostics(iterations={self.iterations}, "
-                f"ridge_applied={self.ridge_applied}, active_bounds={self.active_bounds})")
+    iterations: int
+    ridge_applied: bool
+    active_bounds: int
 
 
 def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
     """Solve the horizon QP; returns (x, diagnostics) with x = [Y; U]."""
     m = problem.horizon
-    lower = problem.a_eq[:, :m]
-    g_block = -problem.a_eq[:, m:]
-    hy = problem.cost_quad[:m, :m]
-    hu = problem.cost_quad[m:, m:]
+    lower = np.eye(m) - problem.f_pred
+    hy = problem.q_weight * np.eye(m)
+    hu = problem.r_weight * np.eye(m)
 
     # eliminate Y = y_base + trans @ U through the unit-triangular equality block
-    _check_finite(problem.a_eq, problem.b_eq)  # a_eq holds lower and -g_block
-    trans = _unit_lower_solve(lower, g_block)
+    _check_finite(problem.f_pred, problem.g_pred, problem.b_eq)
+    trans = _unit_lower_solve(lower, problem.g_pred)
     y_base = _unit_lower_solve(lower, problem.b_eq)
 
     h_red = trans.T @ hy @ trans + hu
     h_red = 0.5 * (h_red + h_red.T)
-    f_red = 2.0 * (trans.T @ (hy @ y_base)) + trans.T @ problem.cost_lin[:m] + problem.cost_lin[m:]
+    # the U block of the linear cost is zero; adding it maps -0.0 entries of
+    # f_red to +0.0, which can change the sign of a zero in the solution
+    f_red = 2.0 * (trans.T @ (hy @ y_base)) + trans.T @ problem.y_lin + np.zeros(m)
 
     ridge_applied = False
     try:
@@ -147,7 +131,7 @@ def _check_finite(*arrays):
 
 def _unit_lower_solve(lower, b):
     """Solve lower @ x = b, lower unit lower triangular (only its strict
-    lower triangle is read). `lower` is a row-major view, so LAPACK gets its
+    lower triangle is read). `lower` is row-major, so LAPACK gets its
     transpose as an upper triangle and solves the transposed system."""
     x, info = _TRTRS(lower.T, b, lower=0, trans=1, unitdiag=1)
     if info != 0:
@@ -199,10 +183,9 @@ def _active_set(problem, h_red, f_red):
         raise QpError(f"infeasible bounds: u_min={lo} > u_max={hi}")
 
     status = np.zeros(m, dtype=int)  # 0 free, -1 at lower, +1 at upper
-    if problem.initial_guess is not None:
-        guess_u = problem.initial_guess[m:]
-        status[guess_u <= lo] = -1
-        status[guess_u >= hi] = 1
+    if problem.u_guess is not None:
+        status[problem.u_guess <= lo] = -1
+        status[problem.u_guess >= hi] = 1
 
     budget = 2 * m + 1
     for iteration in range(1, budget + 1):

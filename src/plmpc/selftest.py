@@ -2,10 +2,12 @@
 
 The oracles here deliberately avoid the production code paths they judge:
 the batch least-squares oracle solves normal equations directly, the KKT
-oracle solves the full saddle-point system densely, and the linear planner
-oracle builds prediction matrices by probing the recursion with unit control
-sequences. `run_checks` executes the static check list and reports per-check
-pass/fail, so a broken build names the property it violates.
+oracle solves the full saddle-point system of the QP's dense form
+(`dense_form`), the frozen rollout steps the frozen recursion one row at a
+time, and the linear planner oracle builds prediction matrices by probing
+the recursion with unit control sequences. `run_checks` executes the static
+check list and reports per-check pass/fail, so a broken build names the
+property it violates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from .model import History, ModelStructure
 
 __all__ = [
     "batch_least_squares",
+    "dense_form",
     "kkt_solve",
+    "rollout_frozen",
     "dense_linear_plan",
     "run_checks",
     "CHECKS",
@@ -46,14 +50,45 @@ def batch_least_squares(theta0, r0_matrix, ys, phis) -> np.ndarray:
     return np.linalg.solve(gram.T, moment)
 
 
+def dense_form(problem: qp_mod.QpProblem):
+    """Dense (cost_quad, cost_lin, a_eq, b_eq) of a horizon QP over x = [Y; U]:
+    min x' cost_quad x + cost_lin' x  s.t.  a_eq x = b_eq."""
+    m = problem.horizon
+    cost_quad = np.zeros((2 * m, 2 * m))
+    cost_quad[:m, :m] = problem.q_weight * np.eye(m)
+    cost_quad[m:, m:] = problem.r_weight * np.eye(m)
+    cost_lin = np.concatenate([problem.y_lin, np.zeros(m)])
+    a_eq = np.hstack([np.eye(m) - problem.f_pred, -problem.g_pred])
+    return cost_quad, cost_lin, a_eq, problem.b_eq
+
+
 def kkt_solve(problem: qp_mod.QpProblem) -> np.ndarray:
     """Equality-constrained QP via the full dense saddle-point system."""
-    h = problem.cost_quad
-    a = problem.a_eq
+    h, cost_lin, a, b_eq = dense_form(problem)
     m = a.shape[0]
     kkt = np.block([[2.0 * h, a.T], [a, np.zeros((m, m))]])
-    rhs = np.concatenate([-problem.cost_lin, problem.b_eq])
+    rhs = np.concatenate([-cost_lin, b_eq])
     return np.linalg.solve(kkt, rhs)[:2 * m]
+
+
+def rollout_frozen(table: mpc_mod.SdcTable, state: mpc_mod.HorizonState,
+                   controls: np.ndarray) -> np.ndarray:
+    """Propagate the frozen linear recursion; same grid conventions as mpc.rollout."""
+    n = table.order
+    horizon = controls.size
+    ys = np.empty(horizon + n)
+    ys[:n - 1] = state.past_y
+    ys[n - 1] = state.anchor
+    us = np.empty(horizon + n - 1)
+    us[:n - 1] = state.past_u
+    us[n - 1:] = controls
+    for r in range(horizon):
+        acc = table.offset[r]
+        for lag in range(1, n + 1):
+            acc += table.f_coef[r, lag - 1] * ys[r + n - lag]
+            acc += table.g_coef[r, lag - 1] * us[r + n - lag]
+        ys[r + n] = acc
+    return ys[n:]
 
 
 def dense_linear_plan(structure: ModelStructure, theta, state: mpc_mod.HorizonState,
@@ -204,24 +239,20 @@ def _check_qp_matches_kkt():
         ref = kkt_solve(problem)
         gap = np.max(np.abs(x - ref)) / (1.0 + np.max(np.abs(ref)))
         assert gap < 1e-9, f"structured vs KKT solution gap {gap:.3e}"
-        resid = np.max(np.abs(problem.a_eq @ x - problem.b_eq))
+        _, _, a_eq, b_eq = dense_form(problem)
+        resid = np.max(np.abs(a_eq @ x - b_eq))
         assert resid < 1e-10, f"equality residual {resid:.3e}"
 
 
-def _random_problem(rng, horizon, bounded=False):
+def _random_problem(rng, horizon):
     f_pred = np.tril(rng.normal(size=(horizon, horizon)) * 0.4, -1)
     g_pred = np.tril(rng.normal(size=(horizon, horizon)) * 0.8)
     g_pred[np.diag_indices(horizon)] += np.sign(g_pred[np.diag_indices(horizon)]) + 0.5
-    a_eq = np.hstack([np.eye(horizon) - f_pred, -g_pred])
-    cost = np.zeros((2 * horizon, 2 * horizon))
-    cost[:horizon, :horizon] = float(rng.uniform(0.2, 2.0)) * np.eye(horizon)
-    cost[horizon:, horizon:] = float(rng.uniform(0.01, 1.0)) * np.eye(horizon)
-    cost_lin = np.concatenate([rng.normal(size=horizon), np.zeros(horizon)])
+    q_weight = float(rng.uniform(0.2, 2.0))
+    r_weight = float(rng.uniform(0.01, 1.0))
+    y_lin = rng.normal(size=horizon)
     b_eq = rng.normal(size=horizon)
-    if bounded:
-        lim = float(rng.uniform(0.05, 0.5))
-        return qp_mod.QpProblem(cost, cost_lin, a_eq, b_eq, u_min=-lim, u_max=lim)
-    return qp_mod.QpProblem(cost, cost_lin, a_eq, b_eq)
+    return qp_mod.QpProblem(f_pred, g_pred, b_eq, q_weight, r_weight, y_lin)
 
 
 def _check_constraints_match_recursion():
@@ -239,11 +270,12 @@ def _check_constraints_match_recursion():
             past_u=rng.normal(size=order - 1),
             commands=rng.normal(size=horizon))
         controls = rng.normal(size=horizon)
-        planned = mpc_mod.rollout_frozen(table, state, controls)
+        planned = rollout_frozen(table, state, controls)
         problem = mpc_mod.assemble(
             table, state, mpc_mod.HorizonConfig(horizon, 1, 1.0, 0.1))
+        _, _, a_eq, b_eq = dense_form(problem)
         x = np.concatenate([planned, controls])
-        gap = np.max(np.abs(problem.a_eq @ x - problem.b_eq))
+        gap = np.max(np.abs(a_eq @ x - b_eq))
         assert gap < 1e-12, f"constraint vs recursion gap {gap:.3e}"
 
 

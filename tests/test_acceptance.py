@@ -14,10 +14,11 @@ import numpy as np
 from plmpc import qp as qp_mod
 from plmpc.basis import CubicHermiteSpline, Fourier
 from plmpc.cli import render_csv
-from plmpc.mpc import HorizonConfig, HorizonState, SdcTable, assemble, rollout_frozen
+from plmpc.mpc import HorizonConfig, HorizonState, SdcTable, assemble
 from plmpc.plant import metrics, preset, run_closed_loop
 from plmpc.rls import DirectionalForgettingRls, directional_forget
-from plmpc.selftest import batch_least_squares, dense_linear_plan, kkt_solve
+from plmpc.selftest import (batch_least_squares, dense_form, dense_linear_plan, kkt_solve,
+                            rollout_frozen)
 
 SEEDS = (1, 2, 3, 4, 5)
 LATE = (301, 500)
@@ -102,16 +103,15 @@ def test_04_structured_solver_matches_saddle_point_oracle():
         g_pred = np.tril(rng.normal(size=(horizon, horizon)) * 0.8)
         diag = np.diag_indices(horizon)
         g_pred[diag] += np.sign(g_pred[diag]) + 0.5
-        a_eq = np.hstack([np.eye(horizon) - f_pred, -g_pred])
-        cost = np.zeros((2 * horizon, 2 * horizon))
-        cost[:horizon, :horizon] = float(rng.uniform(0.2, 2.0)) * np.eye(horizon)
-        cost[horizon:, horizon:] = float(rng.uniform(0.01, 1.0)) * np.eye(horizon)
-        lin = np.concatenate([rng.normal(size=horizon), np.zeros(horizon)])
-        problem = qp_mod.QpProblem(cost, lin, a_eq, rng.normal(size=horizon))
+        q = float(rng.uniform(0.2, 2.0))
+        r = float(rng.uniform(0.01, 1.0))
+        lin = rng.normal(size=horizon)
+        problem = qp_mod.QpProblem(f_pred, g_pred, rng.normal(size=horizon), q, r, lin)
         x, _ = qp_mod.solve(problem)
         ref = kkt_solve(problem)
         gap = float(np.max(np.abs(x - ref))) / (1.0 + float(np.max(np.abs(ref))))
-        resid = float(np.max(np.abs(problem.a_eq @ x - problem.b_eq)))
+        _, _, a_eq, b_eq = dense_form(problem)
+        resid = float(np.max(np.abs(a_eq @ x - b_eq)))
         worst_x, worst_r = max(worst_x, gap), max(worst_r, resid)
         assert gap < 1e-9
         assert resid < 1e-10
@@ -136,8 +136,8 @@ def test_05_assembled_constraints_equal_frozen_recursion():
         controls = rng.normal(size=horizon)
         planned = rollout_frozen(table, state, controls)
         problem = assemble(table, state, HorizonConfig(horizon, 1, 1.0, 0.1))
-        gap = float(np.max(np.abs(
-            problem.a_eq @ np.concatenate([planned, controls]) - problem.b_eq)))
+        _, _, a_eq, b_eq = dense_form(problem)
+        gap = float(np.max(np.abs(a_eq @ np.concatenate([planned, controls]) - b_eq)))
         worst = max(worst, gap)
         assert gap < 1e-12
     print(f"[criterion 05] constraint assembly: worst gap {worst:.3e}")

@@ -131,6 +131,11 @@ def test_run_usage_errors_exit_two(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "sim.warmup_std" in capsys.readouterr().err
+    doc = to_document(preset("eg4-BL"))
+    doc["output"]["windows"] = [[10, 5]]
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
+    assert "windows" in capsys.readouterr().err
 
 
 def test_run_config_theta_mismatch_cites_expected_length(tmp_path, capsys):

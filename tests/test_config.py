@@ -119,9 +119,10 @@ def test_theta0_length_mismatch_reports_counts(eg1_doc):
 
 def test_bad_windows_shape_rejected(eg1_doc):
     doc = copy.deepcopy(eg1_doc)
-    doc["output"]["windows"] = [[1, 100, 200]]
-    with pytest.raises(ConfigError, match="windows"):
-        from_document(doc)
+    for windows in ([[1, 100, 200]], [[0, 10]], [[10, 5]]):
+        doc["output"]["windows"] = windows
+        with pytest.raises(ConfigError, match="windows"):
+            from_document(doc)
 
 
 def test_non_mapping_document_rejected():

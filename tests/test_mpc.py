@@ -17,10 +17,10 @@ from plmpc.mpc import (
     assemble,
     build_sdc,
     rollout,
-    rollout_frozen,
     subiterate,
 )
 from plmpc.model import History, ModelStructure
+from plmpc.selftest import dense_form, rollout_frozen
 
 LIN = ModelStructure(1, (Constant(),), (Constant(),), None)
 ATAN = ModelStructure(1, (Constant(),), (AtanPair(),), None)
@@ -117,12 +117,18 @@ def test_assemble_two_step_hand_case():
                      offset=np.zeros(2))
     state = _state(0.3, [1.0, -1.0])
     problem = assemble(table, state, HorizonConfig(2, 1, 1.0, 0.5))
-    assert np.allclose(problem.a_eq,
+    assert np.allclose(problem.f_pred, [[0.0, 0.0], [-a, 0.0]], atol=1e-15)
+    assert np.allclose(problem.g_pred, [[b, 0.0], [0.0, b]], atol=1e-15)
+    assert np.allclose(problem.b_eq, [-a * 0.3, 0.0], atol=1e-15)
+    assert (problem.q_weight, problem.r_weight) == (1.0, 0.5)
+    assert np.allclose(problem.y_lin, [-2.0, 2.0])
+    cost_quad, cost_lin, a_eq, b_eq = dense_form(problem)
+    assert np.allclose(a_eq,
                        [[1.0, 0.0, -b, 0.0],
                         [a, 1.0, 0.0, -b]], atol=1e-15)
-    assert np.allclose(problem.b_eq, [-a * 0.3, 0.0], atol=1e-15)
-    assert np.allclose(problem.cost_quad, np.diag([1.0, 1.0, 0.5, 0.5]))
-    assert np.allclose(problem.cost_lin, [-2.0, 2.0, 0.0, 0.0])
+    assert np.allclose(b_eq, [-a * 0.3, 0.0], atol=1e-15)
+    assert np.allclose(cost_quad, np.diag([1.0, 1.0, 0.5, 0.5]))
+    assert np.allclose(cost_lin, [-2.0, 2.0, 0.0, 0.0])
 
 
 def test_assembled_constraints_agree_with_frozen_recursion():
@@ -140,8 +146,9 @@ def test_assembled_constraints_agree_with_frozen_recursion():
         controls = rng.normal(size=horizon)
         planned = rollout_frozen(table, state, controls)
         problem = assemble(table, state, HorizonConfig(horizon, 1, 1.0, 0.1))
+        _, _, a_eq, b_eq = dense_form(problem)
         x = np.concatenate([planned, controls])
-        assert np.max(np.abs(problem.a_eq @ x - problem.b_eq)) < 1e-12
+        assert np.max(np.abs(a_eq @ x - b_eq)) < 1e-12
 
 
 # --- fixed-point loop ------------------------------------------------------------------
@@ -185,7 +192,7 @@ def test_single_solve_budget_reports_one_qp():
     # reproduce the one relinearization by hand
     planned = rollout(LIN, theta, state, np.ones(3))
     table = build_sdc(LIN, theta, state, planned)
-    problem = assemble(table, state, cfg, guess=np.concatenate([planned, np.ones(3)]))
+    problem = assemble(table, state, cfg, u_guess=np.ones(3))
     x, _ = qp.solve(problem)
     assert np.allclose(u, x[3:], atol=1e-14)
 

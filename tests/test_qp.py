@@ -1,19 +1,18 @@
 """Structured QP solve: closed forms, saddle-point oracle, box handling."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from plmpc.qp import QpError, QpProblem, solve
-from plmpc.selftest import kkt_solve
+from plmpc.selftest import dense_form, kkt_solve
 
 
 def _scalar_problem(q, r, gain, offset, target, **kw):
     # one output, one control: y = offset + gain*u, cost q*(y-target)^2 + r*u^2
-    cost = np.diag([q, r])
-    lin = np.array([-2.0 * q * target, 0.0])
-    a_eq = np.array([[1.0, -gain]])
-    b_eq = np.array([offset])
-    return QpProblem(cost, lin, a_eq, b_eq, **kw)
+    return QpProblem(np.zeros((1, 1)), np.array([[gain]]), np.array([offset]),
+                     q, r, np.array([-2.0 * q * target]), **kw)
 
 
 def _random_problem(rng, horizon, bounded=False):
@@ -21,20 +20,19 @@ def _random_problem(rng, horizon, bounded=False):
     g_pred = np.tril(rng.normal(size=(horizon, horizon)) * 0.8)
     diag = np.diag_indices(horizon)
     g_pred[diag] += np.sign(g_pred[diag]) + 0.5
-    a_eq = np.hstack([np.eye(horizon) - f_pred, -g_pred])
-    cost = np.zeros((2 * horizon, 2 * horizon))
-    cost[:horizon, :horizon] = float(rng.uniform(0.2, 2.0)) * np.eye(horizon)
-    cost[horizon:, horizon:] = float(rng.uniform(0.01, 1.0)) * np.eye(horizon)
-    lin = np.concatenate([rng.normal(size=horizon), np.zeros(horizon)])
+    q = float(rng.uniform(0.2, 2.0))
+    r = float(rng.uniform(0.01, 1.0))
+    lin = rng.normal(size=horizon)
     b_eq = rng.normal(size=horizon)
     if bounded:
         lim = float(rng.uniform(0.1, 0.8))
-        return QpProblem(cost, lin, a_eq, b_eq, u_min=-lim, u_max=lim)
-    return QpProblem(cost, lin, a_eq, b_eq)
+        return QpProblem(f_pred, g_pred, b_eq, q, r, lin, u_min=-lim, u_max=lim)
+    return QpProblem(f_pred, g_pred, b_eq, q, r, lin)
 
 
 def _objective(problem, x):
-    return float(x @ problem.cost_quad @ x + problem.cost_lin @ x)
+    cost_quad, cost_lin, _, _ = dense_form(problem)
+    return float(x @ cost_quad @ x + cost_lin @ x)
 
 
 # --- closed forms ---------------------------------------------------------------
@@ -80,7 +78,8 @@ def test_matches_saddle_point_oracle():
         x, _ = solve(problem)
         ref = kkt_solve(problem)
         assert np.max(np.abs(x - ref)) < 1e-9 * (1 + np.max(np.abs(ref)))
-        assert np.max(np.abs(problem.a_eq @ x - problem.b_eq)) < 1e-10
+        _, _, a_eq, b_eq = dense_form(problem)
+        assert np.max(np.abs(a_eq @ x - b_eq)) < 1e-10
 
 
 def test_bounded_solution_beats_feasible_competitors():
@@ -92,10 +91,11 @@ def test_bounded_solution_beats_feasible_competitors():
         base = _objective(problem, x)
         assert np.all(x[m:] >= problem.u_min - 1e-12)
         assert np.all(x[m:] <= problem.u_max + 1e-12)
-        lower = problem.a_eq[:, :m]
+        _, _, a_eq, b_eq = dense_form(problem)
+        lower = a_eq[:, :m]
         for _ in range(25):
             u = rng.uniform(problem.u_min, problem.u_max, size=m)
-            y = np.linalg.solve(lower, problem.b_eq - problem.a_eq[:, m:] @ u)
+            y = np.linalg.solve(lower, b_eq - a_eq[:, m:] @ u)
             cand = np.concatenate([y, u])
             assert base <= _objective(problem, cand) + 1e-9
 
@@ -104,9 +104,7 @@ def test_initial_guess_only_seeds_the_active_set():
     rng = np.random.default_rng(31)
     problem = _random_problem(rng, 4, bounded=True)
     plain, _ = solve(problem)
-    seeded = QpProblem(problem.cost_quad, problem.cost_lin, problem.a_eq,
-                       problem.b_eq, u_min=problem.u_min, u_max=problem.u_max,
-                       initial_guess=np.full(8, 1e6))
+    seeded = replace(problem, u_guess=np.full(4, 1e6))
     boxed, _ = solve(seeded)
     assert np.allclose(plain, boxed, atol=1e-9)
 
@@ -142,18 +140,25 @@ def test_non_finite_data_raises_value_error():
 # --- validation ------------------------------------------------------------------------
 
 def test_problem_shape_validation():
-    eye2 = np.eye(2)
-    with pytest.raises(ValueError):
-        QpProblem(eye2, np.zeros(2), np.array([[1.0, 0.0, 0.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        QpProblem(eye2, np.zeros(3), np.array([[1.0, -1.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        QpProblem(eye2, np.zeros(2), np.array([[2.0, -1.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        QpProblem(np.eye(4), np.zeros(4),
-                  np.array([[1.0, 1.0, -1.0, 0.0], [0.0, 1.0, 0.0, -1.0]]),
-                  np.zeros(2))
-    with pytest.raises(ValueError):
-        QpProblem(np.ones((2, 2)), np.zeros(2), np.array([[1.0, -1.0]]), np.zeros(1))
-    with pytest.raises(ValueError):
-        QpProblem(eye2, np.zeros(2), np.array([[1.0, -1.0]]), np.zeros(1), u_min=0.0)
+    z1, one = np.zeros((1, 1)), np.ones((1, 1))
+    with pytest.raises(ValueError):  # empty horizon
+        QpProblem(np.zeros((0, 0)), np.zeros((0, 0)), np.zeros(0), 1.0, 1.0, np.zeros(0))
+    with pytest.raises(ValueError):  # b_eq not a vector
+        QpProblem(z1, one, np.zeros((1, 1)), 1.0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError):  # f_pred wrong shape
+        QpProblem(np.zeros((1, 2)), one, np.zeros(1), 1.0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError):  # g_pred wrong shape
+        QpProblem(z1, np.ones((2, 2)), np.zeros(1), 1.0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError):  # y_lin wrong length
+        QpProblem(z1, one, np.zeros(1), 1.0, 1.0, np.zeros(2))
+    with pytest.raises(ValueError):  # u_guess wrong length
+        QpProblem(z1, one, np.zeros(1), 1.0, 1.0, np.zeros(1), u_guess=np.zeros(2))
+    with pytest.raises(ValueError):  # nonzero diagonal in f_pred
+        QpProblem(np.array([[0.5]]), one, np.zeros(1), 1.0, 1.0, np.zeros(1))
+    with pytest.raises(ValueError):  # nonzero upper entry in f_pred
+        QpProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.zeros(2),
+                  1.0, 1.0, np.zeros(2))
+    with pytest.raises(ValueError):  # half a bound pair
+        QpProblem(z1, one, np.zeros(1), 1.0, 1.0, np.zeros(1), u_min=0.0)
+    # a strictly lower triangular f_pred passes
+    QpProblem(np.array([[0.0, 0.0], [1.0, 0.0]]), np.eye(2), np.zeros(2), 1.0, 1.0, np.zeros(2))

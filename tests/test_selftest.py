@@ -71,8 +71,8 @@ def test_batch_oracle_closed_form_single_observation():
 
 def test_kkt_oracle_scalar_closed_form():
     # y = 2u - 1, cost (y-3)^2 + 0.5 u^2
-    problem = QpProblem(np.diag([1.0, 0.5]), np.array([-6.0, 0.0]),
-                        np.array([[1.0, -2.0]]), np.array([-1.0]))
+    problem = QpProblem(np.zeros((1, 1)), np.array([[2.0]]), np.array([-1.0]),
+                        1.0, 0.5, np.array([-6.0]))
     x = selftest.kkt_solve(problem)
     u_star = 2.0 * (3.0 + 1.0) / (4.0 + 0.5)
     assert x[1] == pytest.approx(u_star, abs=1e-12)
