@@ -248,10 +248,10 @@ def cmd_compare(args) -> int:
         else:
             print(f"{name:<{width}}  {'-':>16}  {'-':>16}  {aborted:<14}  -")
 
-    for i, (na, ea) in enumerate(medians):
-        for nb, eb in medians[i + 1:]:
-            ratio = eb / ea if ea else float("inf")
-            print(f"ratio {nb}/{na}: {ratio:.4g}")
+    if len(medians) == 2:
+        (na, ea), (nb, eb) = medians
+        ratio = eb / ea if ea else float("inf")
+        print(f"ratio {nb}/{na}: {ratio:.4g}")
     if n_aborted:
         print(f"error: {n_aborted} of {len(runs) * len(seeds)} runs aborted", file=sys.stderr)
         return EXIT_RUNTIME

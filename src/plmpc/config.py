@@ -4,13 +4,20 @@ A document is a plain dict (YAML on disk, embedded as-is in run summaries)
 with sections plant/model/rls/mpc/command/sim/output. `from_document` builds
 a runtime SimConfig with errors naming the offending field; `to_document`
 inverts it exactly, so a summary's config echo reproduces the run.
+
+Each section is declared once, as rows of (document key, attribute, kind);
+parsing, dumping and the missing- and unknown-field errors come from them.
+An absent optional key is left out of the constructor call, so defaults and
+range checks live only in the runtime dataclasses.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
+from functools import partial
+from typing import Callable
 
 import yaml
 
@@ -38,13 +45,6 @@ class ConfigError(ValueError):
     """Malformed or inconsistent configuration input."""
 
 
-def _get(section: dict, path: str, key: str, required=True, default=None):
-    if key not in section:
-        if required:
-            raise ConfigError(f"missing field {path}.{key}")
-        return default
-    return section[key]
-
 def _as_float(value, path: str) -> float:
     # float() would also take True and "0.1"; a config number must be a number
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -61,91 +61,187 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _section(doc: dict, name: str) -> dict:
-    sec = _get(doc, "config", name)
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section {name} must be a mapping")
-    return sec
+def _as_str(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
 
 
-# --- plant coefficients ------------------------------------------------------
-
-_COEFF_KINDS = {"constant", "atan_affine", "sin_affine"}
-
-
-def _coeff_from(entry, path: str):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path} must be a mapping with a 'kind' field")
-    kind = _get(entry, path, "kind")
-    if kind == "constant":
-        return ConstantCoeff(_as_float(_get(entry, path, "value"), f"{path}.value"))
-    if kind == "atan_affine":
-        return AtanAffineCoeff(_as_float(_get(entry, path, "offset"), f"{path}.offset"),
-                               _as_float(_get(entry, path, "gain"), f"{path}.gain"))
-    if kind == "sin_affine":
-        return SinAffineCoeff(_as_float(_get(entry, path, "offset"), f"{path}.offset"),
-                              _as_float(_get(entry, path, "gain"), f"{path}.gain"))
-    raise ConfigError(f"{path}.kind must be one of {sorted(_COEFF_KINDS)}, got {kind!r}")
+def _as_pair(value, path: str) -> tuple:
+    if not isinstance(value, list) or len(value) != 2:
+        raise ConfigError(f"{path} must be a [start, end] pair, got {value!r}")
+    return (_as_int(value[0], f"{path}[0]"), _as_int(value[1], f"{path}[1]"))
 
 
-def _coeff_to(coeff) -> dict:
-    if isinstance(coeff, ConstantCoeff):
-        return {"kind": "constant", "value": coeff.value}
-    if isinstance(coeff, AtanAffineCoeff):
-        return {"kind": "atan_affine", "offset": coeff.offset, "gain": coeff.gain}
-    if isinstance(coeff, SinAffineCoeff):
-        return {"kind": "sin_affine", "offset": coeff.offset, "gain": coeff.gain}
-    raise ConfigError(f"cannot serialize coefficient law {coeff!r}")
+# --- kinds: how one document value parses and dumps ---------------------------
+
+@dataclass(frozen=True)
+class _Kind:
+    parse: Callable        # (document value, path) -> runtime value
+    dump: Callable = lambda value: value
+    optional: bool = False  # an absent key falls back to the dataclass default
 
 
-# --- basis dictionaries ------------------------------------------------------
-
-def _basis_from(entry, path: str):
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{path} must be a mapping with a 'family' field")
-    family = _get(entry, path, "family")
-    if family == "polynomial":
-        return basis_mod.Polynomial(_as_int(_get(entry, path, "degree"), f"{path}.degree"))
-    if family == "fourier":
-        return basis_mod.Fourier(
-            _as_int(_get(entry, path, "harmonics"), f"{path}.harmonics"),
-            _as_float(_get(entry, path, "half_period"), f"{path}.half_period"))
-    if family == "spline":
-        return basis_mod.CubicHermiteSpline(
-            _as_int(_get(entry, path, "interior_nodes"), f"{path}.interior_nodes"),
-            _as_float(_get(entry, path, "lo"), f"{path}.lo"),
-            _as_float(_get(entry, path, "hi"), f"{path}.hi"))
-    if family == "atan_pair":
-        return basis_mod.AtanPair()
-    if family == "sin_pair":
-        return basis_mod.SinPair()
-    if family == "constant":
-        return basis_mod.Constant()
-    if family == "zero":
-        return basis_mod.Zero()
-    raise ConfigError(
-        f"{path}.family must be one of polynomial, fourier, spline, atan_pair, "
-        f"sin_pair, constant, zero; got {family!r}")
+_INT = _Kind(_as_int)
+_FLOAT = _Kind(_as_float)
+_STR = _Kind(_as_str)
+_PAIR = _Kind(_as_pair, list)
 
 
-def _basis_to(spec) -> dict:
-    if isinstance(spec, basis_mod.Polynomial):
-        return {"family": "polynomial", "degree": spec.degree}
-    if isinstance(spec, basis_mod.Fourier):
-        return {"family": "fourier", "harmonics": spec.harmonics,
-                "half_period": spec.half_period}
-    if isinstance(spec, basis_mod.CubicHermiteSpline):
-        return {"family": "spline", "interior_nodes": spec.interior_nodes,
-                "lo": spec.lo, "hi": spec.hi}
-    if isinstance(spec, basis_mod.AtanPair):
-        return {"family": "atan_pair"}
-    if isinstance(spec, basis_mod.SinPair):
-        return {"family": "sin_pair"}
-    if isinstance(spec, basis_mod.Constant):
-        return {"family": "constant"}
-    if isinstance(spec, basis_mod.Zero):
-        return {"family": "zero"}
-    raise ConfigError(f"cannot serialize basis spec {spec!r}")
+def _opt(kind: _Kind) -> _Kind:
+    return replace(kind, optional=True)
+
+
+def _or_none(kind: _Kind) -> _Kind:
+    """Optional, and an explicit null stands for the dataclass default None."""
+    return _Kind(lambda value, path: None if value is None else kind.parse(value, path),
+                 lambda value: None if value is None else kind.dump(value), optional=True)
+
+
+def _list(item: _Kind, what: str) -> _Kind:
+    def parse(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path} must be a nonempty list of {what}")
+        return tuple(item.parse(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return _Kind(parse, lambda values: [item.dump(v) for v in values])
+
+
+def _join(path: str, key) -> str:
+    return f"{path}.{key}" if path else str(key)
+
+
+def _parse_mapping(cls, rows, value, path: str):
+    """Build cls from a mapping's rows; with cls None, return the keyword
+    arguments, which the enclosing section takes as its own."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{path} must be a mapping, got {value!r}")
+    known = [key for key, _, _ in rows]
+    for key in value:
+        if key not in known:
+            raise ConfigError(
+                f"unknown field {_join(path, key)}; expected one of {', '.join(known)}")
+    kwargs = {}
+    for key, attr, kind in rows:
+        if key not in value:
+            if not kind.optional:
+                raise ConfigError(f"missing field {_join(path, key)}")
+            continue
+        parsed = kind.parse(value[key], _join(path, key))
+        kwargs.update(parsed if attr is None else {attr: parsed})
+    if cls is None:
+        return kwargs
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _dump_mapping(rows, obj) -> dict:
+    return {key: kind.dump(obj if attr is None else getattr(obj, attr))
+            for key, attr, kind in rows}
+
+
+def _section(cls, rows) -> _Kind:
+    return _Kind(partial(_parse_mapping, cls, rows), partial(_dump_mapping, rows))
+
+
+def _tagged(tag: str, table: dict) -> _Kind:
+    """A mapping whose `tag` names a dataclass in `table`; the other keys are
+    its int and float fields."""
+    scalar = {"int": _INT, "float": _FLOAT}
+    names = {cls: name for name, cls in table.items()}
+    # the tag's own row passes no argument and dumps the name of the class
+    tag_row = (tag, None, _Kind(lambda value, path: {}, lambda obj: names[type(obj)]))
+    rows = {name: [tag_row, *((f.name, f.name, scalar[f.type]) for f in fields(cls))]
+            for name, cls in table.items()}
+
+    def parse(value, path):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be a mapping with a {tag!r} field")
+        if tag not in value:
+            raise ConfigError(f"missing field {path}.{tag}")
+        name = value[tag]
+        if not isinstance(name, str) or name not in table:
+            raise ConfigError(f"{path}.{tag} must be one of {', '.join(table)}; got {name!r}")
+        return _parse_mapping(table[name], rows[name], value, path)
+
+    def dump(obj):
+        if type(obj) not in names:
+            raise ConfigError(f"cannot serialize {obj!r}: not one of {', '.join(table)}")
+        return _dump_mapping(rows[names[type(obj)]], obj)
+
+    return _Kind(parse, dump)
+
+
+# --- the schema ----------------------------------------------------------------
+
+_COEFF = _tagged("kind", {
+    "constant": ConstantCoeff,
+    "atan_affine": AtanAffineCoeff,
+    "sin_affine": SinAffineCoeff,
+})
+
+_BASIS = _tagged("family", {
+    "polynomial": basis_mod.Polynomial,
+    "fourier": basis_mod.Fourier,
+    "spline": basis_mod.CubicHermiteSpline,
+    "atan_pair": basis_mod.AtanPair,
+    "sin_pair": basis_mod.SinPair,
+    "constant": basis_mod.Constant,
+    "zero": basis_mod.Zero,
+})
+
+# Rows in document order. Attribute None: the fields belong to the enclosing class.
+_DOCUMENT = _section(SimConfig, [
+    ("name", "name", _opt(_STR)),
+    ("notes", "notes", _opt(_STR)),
+    ("plant", "plant", _section(PlantSpec, [
+        ("order", "order", _INT),
+        ("f", "f_coeffs", _list(_COEFF, "coefficient laws")),
+        ("g", "g_coeffs", _list(_COEFF, "coefficient laws")),
+    ])),
+    ("model", "structure", _section(ModelStructure, [
+        ("order", "order", _INT),
+        ("f", "f_specs", _list(_BASIS, "basis specs")),
+        ("g", "g_specs", _list(_BASIS, "basis specs")),
+        ("h", "h_spec", _or_none(_BASIS)),
+    ])),
+    ("rls", "rls", _section(RlsSettings, [
+        ("theta0", "theta0", _list(_FLOAT, "numbers")),
+        ("r0", "r0", _FLOAT),
+        ("forgetting", "forgetting", _FLOAT),
+        ("filter_threshold", "filter_threshold", _opt(_FLOAT)),
+    ])),
+    ("mpc", "mpc", _section(HorizonConfig, [
+        ("horizon", "horizon", _INT),
+        ("subiterations", "subiterations", _INT),
+        ("q", "q_weight", _FLOAT),
+        ("r", "r_weight", _FLOAT),
+        ("u_min", "u_min", _or_none(_FLOAT)),
+        ("u_max", "u_max", _or_none(_FLOAT)),
+        ("fixed_point_tol", "fixed_point_tol", _opt(_FLOAT)),
+    ])),
+    ("command", "command", _section(SinusoidCommand, [
+        ("amplitude", "amplitude", _FLOAT),
+        ("rate", "rate", _FLOAT),
+    ])),
+    ("sim", None, _section(None, [
+        ("steps", "steps", _INT),
+        ("y0", "y0", _FLOAT),
+        ("u0", "u0", _FLOAT),
+        ("warmup_std", "warmup_std", _FLOAT),
+        ("seed", "seed", _INT),
+    ])),
+    ("output", "output", _opt(_section(OutputSettings, [
+        ("snapshot_step", "snapshot_step", _opt(_INT)),
+        ("grid", None, _opt(_section(None, [
+            ("lo", "grid_lo", _opt(_FLOAT)),
+            ("hi", "grid_hi", _opt(_FLOAT)),
+            ("points", "grid_points", _opt(_INT)),
+        ]))),
+        ("windows", "windows", _opt(_list(_PAIR, "[start, end] pairs"))),
+    ]))),
+])
 
 
 # --- document <-> SimConfig --------------------------------------------------
@@ -153,160 +249,15 @@ def _basis_to(spec) -> dict:
 def from_document(doc: dict) -> SimConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a mapping")
-    schema = doc.get("schema", SCHEMA)
+    doc = dict(doc)
+    schema = doc.pop("schema", SCHEMA)
     if schema != SCHEMA:
         raise ConfigError(f"unsupported schema {schema!r}, expected {SCHEMA!r}")
-
-    p = _section(doc, "plant")
-    order = _as_int(_get(p, "plant", "order"), "plant.order")
-    f_entries = _get(p, "plant", "f")
-    g_entries = _get(p, "plant", "g")
-    if not isinstance(f_entries, list) or not isinstance(g_entries, list):
-        raise ConfigError("plant.f and plant.g must be lists of coefficient laws")
-    try:
-        plant = PlantSpec(
-            order,
-            tuple(_coeff_from(e, f"plant.f[{i}]") for i, e in enumerate(f_entries)),
-            tuple(_coeff_from(e, f"plant.g[{i}]") for i, e in enumerate(g_entries)))
-    except ValueError as exc:
-        raise ConfigError(f"plant: {exc}") from exc
-
-    m = _section(doc, "model")
-    m_order = _as_int(_get(m, "model", "order"), "model.order")
-    mf = _get(m, "model", "f")
-    mg = _get(m, "model", "g")
-    if not isinstance(mf, list) or not isinstance(mg, list):
-        raise ConfigError("model.f and model.g must be lists of basis specs")
-    mh = m.get("h")
-    try:
-        structure = ModelStructure(
-            m_order,
-            tuple(_basis_from(e, f"model.f[{i}]") for i, e in enumerate(mf)),
-            tuple(_basis_from(e, f"model.g[{i}]") for i, e in enumerate(mg)),
-            None if mh is None else _basis_from(mh, "model.h"))
-    except ValueError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-    r = _section(doc, "rls")
-    theta0 = _get(r, "rls", "theta0")
-    if not isinstance(theta0, list) or not theta0:
-        raise ConfigError("rls.theta0 must be a nonempty list of numbers")
-    try:
-        rls = RlsSettings(
-            theta0=tuple(_as_float(v, f"rls.theta0[{i}]") for i, v in enumerate(theta0)),
-            r0=_as_float(_get(r, "rls", "r0"), "rls.r0"),
-            forgetting=_as_float(_get(r, "rls", "forgetting"), "rls.forgetting"),
-            filter_threshold=_as_float(
-                _get(r, "rls", "filter_threshold", required=False, default=1e-4),
-                "rls.filter_threshold"))
-    except ValueError as exc:
-        raise ConfigError(f"rls: {exc}") from exc
-
-    c = _section(doc, "mpc")
-    u_min = c.get("u_min")
-    u_max = c.get("u_max")
-    try:
-        mpc = HorizonConfig(
-            horizon=_as_int(_get(c, "mpc", "horizon"), "mpc.horizon"),
-            subiterations=_as_int(_get(c, "mpc", "subiterations"), "mpc.subiterations"),
-            q_weight=_as_float(_get(c, "mpc", "q"), "mpc.q"),
-            r_weight=_as_float(_get(c, "mpc", "r"), "mpc.r"),
-            u_min=None if u_min is None else _as_float(u_min, "mpc.u_min"),
-            u_max=None if u_max is None else _as_float(u_max, "mpc.u_max"),
-            fixed_point_tol=_as_float(
-                _get(c, "mpc", "fixed_point_tol", required=False, default=1e-9),
-                "mpc.fixed_point_tol"))
-    except ValueError as exc:
-        raise ConfigError(f"mpc: {exc}") from exc
-
-    cm = _section(doc, "command")
-    command = SinusoidCommand(
-        amplitude=_as_float(_get(cm, "command", "amplitude"), "command.amplitude"),
-        rate=_as_float(_get(cm, "command", "rate"), "command.rate"))
-
-    s = _section(doc, "sim")
-    o = doc.get("output", {})
-    if not isinstance(o, dict):
-        raise ConfigError("section output must be a mapping")
-    grid = o.get("grid", {})
-    if not isinstance(grid, dict):
-        raise ConfigError("output.grid must be a mapping")
-    windows = o.get("windows", [[1, 100], [301, 500]])
-    if (not isinstance(windows, list) or not windows
-            or not all(isinstance(w, list) and len(w) == 2 for w in windows)):
-        raise ConfigError("output.windows must be a list of [start, end] pairs")
-    try:
-        output = OutputSettings(
-            snapshot_step=_as_int(o.get("snapshot_step", 450), "output.snapshot_step"),
-            grid_lo=_as_float(grid.get("lo", -6.0), "output.grid.lo"),
-            grid_hi=_as_float(grid.get("hi", 6.0), "output.grid.hi"),
-            grid_points=_as_int(grid.get("points", 241), "output.grid.points"),
-            windows=tuple((_as_int(a, "output.windows"), _as_int(b, "output.windows"))
-                          for a, b in windows))
-    except ValueError as exc:
-        raise ConfigError(f"output: {exc}") from exc
-
-    try:
-        return SimConfig(
-            plant=plant, structure=structure, rls=rls, mpc=mpc, command=command,
-            steps=_as_int(_get(s, "sim", "steps"), "sim.steps"),
-            y0=_as_float(_get(s, "sim", "y0"), "sim.y0"),
-            u0=_as_float(_get(s, "sim", "u0"), "sim.u0"),
-            warmup_std=_as_float(_get(s, "sim", "warmup_std"), "sim.warmup_std"),
-            seed=_as_int(_get(s, "sim", "seed"), "sim.seed"),
-            output=output,
-            name=str(doc.get("name", "custom")),
-            notes=str(doc.get("notes", "")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _DOCUMENT.parse(doc, "")
 
 
 def to_document(cfg: SimConfig) -> dict:
-    return {
-        "schema": SCHEMA,
-        "name": cfg.name,
-        "notes": cfg.notes,
-        "plant": {
-            "order": cfg.plant.order,
-            "f": [_coeff_to(c) for c in cfg.plant.f_coeffs],
-            "g": [_coeff_to(c) for c in cfg.plant.g_coeffs],
-        },
-        "model": {
-            "order": cfg.structure.order,
-            "f": [_basis_to(b) for b in cfg.structure.f_specs],
-            "g": [_basis_to(b) for b in cfg.structure.g_specs],
-            "h": None if cfg.structure.h_spec is None else _basis_to(cfg.structure.h_spec),
-        },
-        "rls": {
-            "theta0": list(cfg.rls.theta0),
-            "r0": cfg.rls.r0,
-            "forgetting": cfg.rls.forgetting,
-            "filter_threshold": cfg.rls.filter_threshold,
-        },
-        "mpc": {
-            "horizon": cfg.mpc.horizon,
-            "subiterations": cfg.mpc.subiterations,
-            "q": cfg.mpc.q_weight,
-            "r": cfg.mpc.r_weight,
-            "u_min": cfg.mpc.u_min,
-            "u_max": cfg.mpc.u_max,
-            "fixed_point_tol": cfg.mpc.fixed_point_tol,
-        },
-        "command": {"amplitude": cfg.command.amplitude, "rate": cfg.command.rate},
-        "sim": {
-            "steps": cfg.steps,
-            "y0": cfg.y0,
-            "u0": cfg.u0,
-            "warmup_std": cfg.warmup_std,
-            "seed": cfg.seed,
-        },
-        "output": {
-            "snapshot_step": cfg.output.snapshot_step,
-            "grid": {"lo": cfg.output.grid_lo, "hi": cfg.output.grid_hi,
-                     "points": cfg.output.grid_points},
-            "windows": [list(w) for w in cfg.output.windows],
-        },
-    }
+    return {"schema": SCHEMA, **_DOCUMENT.dump(cfg)}
 
 
 def load_config_file(path) -> SimConfig:

@@ -11,8 +11,9 @@ y_{k+1}.
 from __future__ import annotations
 
 import math
+import re
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -169,6 +170,10 @@ class SimConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_std < 0.0:
             raise ValueError("warmup_std must be nonnegative")
+        # the name is the stem of every output file, so it may not leave the directory
+        if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", self.name):
+            raise ValueError(f"name must be a file stem of letters, digits, '.', '_' "
+                             f"and '-' that starts with a letter or digit, got {self.name!r}")
         n_theta = len(self.theta0_array())
         if n_theta != self.structure.dim_phi:
             raise ValueError(
@@ -327,9 +332,8 @@ def run_closed_loop(cfg: SimConfig) -> RunLog:
 
 
 def _truncate_log(log: RunLog, steps: int) -> None:
-    for name in ("k", "y", "u", "r", "e_c", "e_p", "theta", "subiters",
-                 "qp_ridge", "qp_iters", "fp_residual", "wall_ms"):
-        setattr(log, name, getattr(log, name)[:steps])
+    for f in fields(log):
+        setattr(log, f.name, getattr(log, f.name)[:steps])
 
 
 # --- presets ----------------------------------------------------------------

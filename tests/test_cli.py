@@ -136,6 +136,12 @@ def test_run_usage_errors_exit_two(tmp_path, capsys):
     bad.write_text(yaml.safe_dump(doc))
     assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path)]) == 2
     assert "windows" in capsys.readouterr().err
+    doc = to_document(preset("eg4-BL"))
+    doc["name"] = "../escaped"  # the name is the stem of every output file
+    bad.write_text(yaml.safe_dump(doc))
+    assert main(["run", "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "name" in capsys.readouterr().err
+    assert not (tmp_path / "escaped.csv").exists()
 
 
 def test_run_config_theta_mismatch_cites_expected_length(tmp_path, capsys):
@@ -232,8 +238,10 @@ def test_compare_reports_aborted_row_and_exits_three(capsys):
 def test_compare_family_prefix_expands_to_members(capsys):
     assert main(["compare", "eg4", "--seeds", "1", "--steps", "60",
                  "--window", "41:60"]) == 0
-    rows = _table_rows(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    rows = _table_rows(out)
     assert list(rows) == ["eg4-BL", "eg4-PB2", "eg4-FB3", "eg4-CB4"]
+    assert "ratio" not in out  # a ratio line only for exactly two medians
 
 
 # --- selftest subcommand -----------------------------------------------------------------

@@ -1,6 +1,9 @@
 """Config documents: exact round-trips and field-level error reporting."""
 
 import copy
+import hashlib
+import json
+import re
 
 import pytest
 import yaml
@@ -40,9 +43,9 @@ def test_yaml_file_round_trip(tmp_path):
 
 
 def test_document_embeds_schema_and_sections(eg1_doc):
+    assert list(eg1_doc) == ["schema", "name", "notes", "plant", "model", "rls",
+                             "mpc", "command", "sim", "output"]
     assert eg1_doc["schema"] == SCHEMA
-    for section in ("plant", "model", "rls", "mpc", "command", "sim", "output"):
-        assert section in eg1_doc, section
     assert eg1_doc["model"]["h"] == {"family": "zero"}
     assert eg1_doc["mpc"]["u_min"] is None
 
@@ -83,6 +86,14 @@ def test_wrong_type_error_names_the_path(eg1_doc):
         doc = copy.deepcopy(eg1_doc)
         doc[section][key] = value
         with pytest.raises(ConfigError, match=path):
+            from_document(doc)
+    # name and notes are strings, and the name is the stem of every output
+    # file: no separators, no leading dot, not empty
+    for key, value in [("name", 7), ("notes", None), ("name", "../escaped"),
+                       ("name", "sub/dir"), ("name", ""), ("name", ".hidden")]:
+        doc = copy.deepcopy(eg1_doc)
+        doc[key] = value
+        with pytest.raises(ConfigError, match=key):
             from_document(doc)
 
 
@@ -157,3 +168,92 @@ def test_round_trip_preserves_optional_mpc_bounds():
     back = from_document(doc)
     assert back.mpc.u_min == -2.5 and back.mpc.u_max == 2.5
     assert to_document(back)["mpc"]["u_min"] == -2.5
+
+
+@pytest.mark.parametrize("path, preset_name, parent", [pytest.param(*case, id=case[0]) for case in [
+    ("mpc.horizn", "eg1", ("mpc",)),
+    ("mpc.u_mx", "eg1", ("mpc",)),
+    ("output.grid.pts", "eg1", ("output", "grid")),
+    ("model.g[0].degree", "eg4-BL", ("model", "g", 0)),  # an atan_pair takes no fields
+    ("simm", "eg1", ()),
+]])
+def test_unknown_field_rejected_with_its_path(path, preset_name, parent):
+    doc = to_document(preset(preset_name))
+    node = doc
+    for part in parent:
+        node = node[part]
+    node[path.rsplit(".", 1)[-1]] = 1
+    with pytest.raises(ConfigError, match=re.escape(f"unknown field {path};")):
+        from_document(doc)
+
+
+_DELETE = object()
+MUTATIONS = [_DELETE, None, True, "x", 1.5, -1, 0, float("nan"), float("inf"),
+             [], {}, 1e300, 1e-320]
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, dict) and node:
+        for key, value in node.items():
+            yield from _leaf_paths(value, path + (key,))
+    elif isinstance(node, list) and node:
+        for i, value in enumerate(node):
+            yield from _leaf_paths(value, path + (i,))
+    else:
+        yield path
+
+
+@pytest.mark.parametrize("preset_name", ["eg1", "eg4-CB4"])
+def test_every_leaf_mutation_round_trips_or_names_its_field(preset_name):
+    """Each leaf of a preset document, deleted or replaced by a value of the
+    wrong type or range, either parses to a config that round-trips or raises
+    a ConfigError naming the leaf's path, its section or its own key."""
+    base = to_document(preset(preset_name))
+    cases = 0
+    for path in _leaf_paths(base):
+        dotted = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
+        names = (dotted, str(path[0]), re.sub(r"\[\d+\]", "", dotted).split(".")[-1])
+        for value in MUTATIONS:
+            doc = copy.deepcopy(base)
+            parent = doc
+            for part in path[:-1]:
+                parent = parent[part]
+            if value is _DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+            cases += 1
+            try:
+                cfg = from_document(doc)
+            except ConfigError as exc:
+                assert any(n in str(exc) for n in names), (dotted, value, str(exc))
+                continue
+            assert from_document(to_document(cfg)) == cfg, (dotted, value)
+    assert cases > 400
+
+
+# SHA-256 of each preset's canonical to_document JSON: the config_hash of its
+# run summary. A change to the document layout shows up here first.
+GOLDEN_CONFIG_HASH = {
+    "eg1": "4f37c9e0acda4561c57bad1939c5dd8cd9464d5592c84518519d3c1a751e5312",
+    "eg3": "8c8431160e8a1abae702590906fdf340d963f06d62abf298a552e09174cecb3c",
+    "eg4-BL": "90d702b798104e0c72ae6e489bea7ef012017458a9f2daff012e79272ced0ad7",
+    "eg4-PB2": "8d13f52bc6db63df0561b49e5c7f0963490c09de4687e29dafd1f4e9d7bfd3be",
+    "eg4-FB3": "3cf61c2f5e11f8c7eeacbed94473b563cc293cf20c65253ed7feb5421fb430ad",
+    "eg4-CB4": "6dd8308b6ef830b8d10dbca90e80d9ddd977852c20a3b48b1a09d2baa44bc6c4",
+    "eg5-BL": "3ba0cd11ed622d78736a71921205faae1def3931bfd0bfdd61830ebaab564631",
+    "eg5-PB2": "8413ddde6aafddfbc8c4c2ea5d2e9b0c575f15ec6379fbef30950725077c82b7",
+    "eg5-FB3": "8832969818c59e7c9073dc1e7d1b2888a8461881fd4a8c579da0b151e3103d3b",
+    "eg5-CB4": "c692a3ee95cd68168eb5e2c394f7096218c9c2afe295b757ac891bf434057292",
+    "eg6-BL": "9c17294b46629ffa9fa3224a2a3345391062385cce0fe7cd2e91a97e6accdec6",
+    "eg6-PB2": "b74a9236c095a9fc9ed1d872cb84647abd8ad9c2e877a84d66e86bffbd19af90",
+    "eg6-CB4": "a47b64ed25c4df82b32f95e5e2a0c63c7dc9a9d114a51f4fcf525422197b1da6",
+    "eg6-FB5": "76fcbdfadfc488f9b77c557f1d7a646dfde094e3b1426ee20b263fdeb65b5624",
+}
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_config_hash_of_every_preset_is_pinned(name):
+    doc = to_document(preset(name))
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == GOLDEN_CONFIG_HASH[name]
