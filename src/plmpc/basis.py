@@ -39,8 +39,22 @@ def _require_finite_array(xs) -> np.ndarray:
     return xs
 
 
+def _fixed(*row) -> np.ndarray:
+    out = np.array(row)
+    out.flags.writeable = False
+    return out
+
+
 class BasisSpec:
-    """Common interface: `dim` plus pointwise and batched evaluation."""
+    """Common interface: `dim` plus pointwise and batched evaluation.
+
+    `fixed_row` is None for a dictionary whose row depends on the argument.
+    A dictionary that ignores its argument sets it to its (read-only) row,
+    equal bitwise to `eval` at every finite point, so callers can form its
+    coefficient once instead of once per point.
+    """
+
+    fixed_row: np.ndarray | None = None
 
     @property
     def dim(self) -> int:
@@ -216,6 +230,8 @@ class SinPair(BasisSpec):
 class Constant(BasisSpec):
     """Degenerate dictionary [1]: the coefficient does not depend on the output."""
 
+    fixed_row = _fixed(1.0)
+
     @property
     def dim(self) -> int:
         return 1
@@ -232,6 +248,8 @@ class Constant(BasisSpec):
 @dataclass(frozen=True)
 class Zero(BasisSpec):
     """Degenerate dictionary [0]: the term is present but always vanishes."""
+
+    fixed_row = _fixed(0.0)
 
     @property
     def dim(self) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -84,6 +85,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _finite_or_null(node):
+    """`node` with every non-finite number replaced by None, so that it
+    serializes as strict JSON (json writes NaN and Infinity otherwise)."""
+    if isinstance(node, float):
+        return node if math.isfinite(node) else None
+    if isinstance(node, dict):
+        return {key: _finite_or_null(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_finite_or_null(value) for value in node]
+    return node
+
+
 def build_summary(cfg, log: RunLog, elapsed_s: float, aborted_step=None) -> dict:
     doc = config_mod.to_document(cfg)
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -96,7 +109,7 @@ def build_summary(cfg, log: RunLog, elapsed_s: float, aborted_step=None) -> dict
                 "mean_abs_ep": m.mean_abs_ep,
                 "max_abs_u": m.max_abs_u,
             }
-    return {
+    return _finite_or_null({
         "schema_version": "1",
         "name": cfg.name,
         "seed": cfg.seed,
@@ -118,7 +131,7 @@ def build_summary(cfg, log: RunLog, elapsed_s: float, aborted_step=None) -> dict
             "numpy": np.__version__,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
-    }
+    })
 
 
 def write_outputs(cfg, log: RunLog, out_dir: str, elapsed_s: float,
@@ -129,7 +142,7 @@ def write_outputs(cfg, log: RunLog, out_dir: str, elapsed_s: float,
     _atomic_write(csv_path, render_csv(log))
     summary = build_summary(cfg, log, elapsed_s, aborted_step)
     _atomic_write(os.path.join(out_dir, f"{stem}_summary.json"),
-                  json.dumps(summary, indent=2, sort_keys=True) + "\n")
+                  json.dumps(summary, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if log.steps:
         _atomic_write(os.path.join(out_dir, f"{stem}_ghat.csv"),
                       render_ghat_grid(cfg, log))

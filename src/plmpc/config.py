@@ -80,6 +80,7 @@ class _Kind:
     parse: Callable        # (document value, path) -> runtime value
     dump: Callable = lambda value: value
     optional: bool = False  # an absent key falls back to the dataclass default
+    rows: tuple = ()        # a section's rows
 
 
 _INT = _Kind(_as_int)
@@ -133,7 +134,30 @@ def _parse_mapping(cls, rows, value, path: str):
     try:
         return cls(**kwargs)
     except ValueError as exc:
+        if not path:
+            # SimConfig checks fields of several sections; each of its
+            # messages starts with the attribute path of the field it names
+            attrs = str(exc).split(" ", 1)[0]
+            path = _document_path(rows, attrs) or ""
+            if path == attrs:  # the message already starts with the path
+                path = ""
         raise ConfigError(f"{path}: {exc}" if path else str(exc)) from exc
+
+
+def _document_path(rows, attrs: str) -> str | None:
+    """Document path of a dotted attribute path such as `rls.theta0`, or
+    None when no row holds it."""
+    head, _, rest = attrs.partition(".")
+    for key, attr, kind in rows:
+        if attr is None:  # a section whose fields the enclosing class takes
+            found = _document_path(kind.rows, attrs)
+        elif attr == head:
+            found = _document_path(kind.rows, rest) if rest else ""
+        else:
+            continue
+        if found is not None:
+            return f"{key}.{found}" if found else key
+    return None
 
 
 def _dump_mapping(rows, obj) -> dict:
@@ -142,7 +166,8 @@ def _dump_mapping(rows, obj) -> dict:
 
 
 def _section(cls, rows) -> _Kind:
-    return _Kind(partial(_parse_mapping, cls, rows), partial(_dump_mapping, rows))
+    return _Kind(partial(_parse_mapping, cls, rows), partial(_dump_mapping, rows),
+                 rows=tuple(rows))
 
 
 def _tagged(tag: str, table: dict) -> _Kind:

@@ -11,6 +11,7 @@ then the optional offset block.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,19 +83,19 @@ class ModelStructure:
         if len({s.dim for s in self.g_specs}) != 1:
             raise ValueError("input-lag dictionaries must share one dimension")
 
-    @property
+    @cached_property
     def dim_f(self) -> int:
         return self.f_specs[0].dim
 
-    @property
+    @cached_property
     def dim_g(self) -> int:
         return self.g_specs[0].dim
 
-    @property
+    @cached_property
     def dim_h(self) -> int:
         return self.h_spec.dim if self.h_spec is not None else 0
 
-    @property
+    @cached_property
     def dim_phi(self) -> int:
         return self.order * (self.dim_f + self.dim_g) + self.dim_h
 

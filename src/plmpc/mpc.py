@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import qp
+from .basis import _require_finite, _require_finite_array
 from .model import History, ModelStructure, regressor
 from .qp import QpProblem
 
@@ -137,6 +138,14 @@ def _grid_outputs(state: HorizonState, planned: np.ndarray) -> np.ndarray:
     return np.concatenate([state.past_y, [state.anchor], planned])
 
 
+def _fold(row: np.ndarray, spec):
+    """(row @ spec's fixed row, None) for an argument-free dictionary, else
+    (row, spec.eval): the coefficient at y is then row @ spec.eval(y)."""
+    if spec.fixed_row is None:
+        return row, spec.eval
+    return float(row @ spec.fixed_row), None
+
+
 def rollout(structure: ModelStructure, theta, state: HorizonState,
             controls: np.ndarray) -> np.ndarray:
     """Propagate the identified recursion over the horizon under `controls`.
@@ -146,29 +155,45 @@ def rollout(structure: ModelStructure, theta, state: HorizonState,
     """
     n = structure.order
     fs, gs, h_row = structure.split(theta)
-    lags = [(lag, fs[lag - 1], structure.f_specs[lag - 1].eval,
-             gs[lag - 1], structure.g_specs[lag - 1].eval) for lag in range(1, n + 1)]
-    h_eval = None if structure.h_spec is None else structure.h_spec.eval
+    lags = [(lag, *_fold(fs[lag - 1], structure.f_specs[lag - 1]),
+             *_fold(gs[lag - 1], structure.g_specs[lag - 1])) for lag in range(1, n + 1)]
+    has_h = structure.h_spec is not None
+    if has_h:
+        h_row, h_eval = _fold(h_row, structure.h_spec)
 
     ys = state.past_y.tolist() + [state.anchor]     # grid indices 2-n .. 1, grows to horizon+1
     us = state.past_u.tolist() + controls.tolist()   # grid indices 2-n .. horizon
+    # Every dictionary rejects a non-finite argument, folded ones included.
+    # Planned outputs are checked as they are made; check the known ones
+    # here, lag 1 first, as the first horizon step would reach them.
+    for yl in reversed(ys):
+        _require_finite(yl)
 
     # overflow is the expected divergence signal here, not an anomaly: any
-    # non-finite product lands in acc and trips the check before it is stored
+    # non-finite product lands in acc and trips the check before it is stored.
+    # For two vectors, ndarray.dot and @ call the same BLAS dot product;
+    # .dot skips the matmul ufunc's dispatch.
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(controls.size):
             acc = 0.0
             for lag, f_row, f_eval, g_row, g_eval in lags:
                 yl = ys[r + n - lag]
-                acc += -(f_row @ f_eval(yl)) * yl
-                acc += (g_row @ g_eval(yl)) * us[r + n - lag]
-            if h_eval is not None:
-                acc += h_row @ h_eval(ys[r + n - 1])
+                acc += -(f_row if f_eval is None else f_row.dot(f_eval(yl))) * yl
+                acc += (g_row if g_eval is None else g_row.dot(g_eval(yl))) * us[r + n - lag]
+            if has_h:
+                acc += h_row if h_eval is None else h_row.dot(h_eval(ys[r + n - 1]))
             if not math.isfinite(acc):
                 raise RolloutDivergedError(
                     f"prediction left finite range at horizon step {r + 1}")
             ys.append(acc)
     return np.array(ys[n:])
+
+
+def _coef_grid(spec, row: np.ndarray, args: np.ndarray) -> np.ndarray:
+    """The coefficient row @ spec.eval(y) at every argument y."""
+    if spec.fixed_row is None:
+        return spec.eval_grid(args) @ row
+    return np.full(args.size, row @ spec.fixed_row)
 
 
 def build_sdc(structure: ModelStructure, theta, state: HorizonState,
@@ -178,17 +203,19 @@ def build_sdc(structure: ModelStructure, theta, state: HorizonState,
     horizon = planned.size
     fs, gs, h_row = structure.split(theta)
     grid = _grid_outputs(state, planned)  # index i at position i + n - 2
+    # the arguments y_{i-lag} of every row, checked once: an argument-free
+    # dictionary is not evaluated on them
+    _require_finite_array(grid[:n - 1 + horizon])
 
     f_coef = np.empty((horizon, n))
     g_coef = np.empty((horizon, n))
     for lag in range(1, n + 1):
         # arguments y_{i-lag} for rows i = 2..horizon+1
         args = grid[n - lag:n - lag + horizon]
-        f_coef[:, lag - 1] = -(structure.f_specs[lag - 1].eval_grid(args) @ fs[lag - 1])
-        g_coef[:, lag - 1] = structure.g_specs[lag - 1].eval_grid(args) @ gs[lag - 1]
+        f_coef[:, lag - 1] = -_coef_grid(structure.f_specs[lag - 1], fs[lag - 1], args)
+        g_coef[:, lag - 1] = _coef_grid(structure.g_specs[lag - 1], gs[lag - 1], args)
     if structure.h_spec is not None:
-        args = grid[n - 1:n - 1 + horizon]
-        offset = structure.h_spec.eval_grid(args) @ h_row
+        offset = _coef_grid(structure.h_spec, h_row, grid[n - 1:n - 1 + horizon])
     else:
         offset = np.zeros(horizon)
     return SdcTable(f_coef, g_coef, offset)
@@ -235,6 +262,11 @@ def _relinearize_once(structure, theta, state, config, controls):
     return x[config.horizon:], qdiag
 
 
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm's own arithmetic for a real vector, without its dispatch
+    return math.sqrt(x.dot(x))
+
+
 def _secant_update(inv_jac, du, dg):
     """Rank-one secant update of the inverse Jacobian of the residual.
 
@@ -243,7 +275,7 @@ def _secant_update(inv_jac, du, dg):
     """
     jdg = inv_jac @ dg
     denom = float(du @ jdg)
-    if abs(denom) > 1e-12 * (1.0 + float(np.linalg.norm(du)) * float(np.linalg.norm(jdg))):
+    if abs(denom) > 1e-12 * (1.0 + _norm(du) * _norm(jdg)):
         return inv_jac + np.outer(du - jdg, du @ inv_jac) / denom, False
     return -np.eye(du.size), True
 
@@ -279,7 +311,7 @@ def subiterate(structure: ModelStructure, theta, state: HorizonState,
             u_cand = u_acc
         elif kind == "retry":
             u_cand = mapped_acc.copy()
-        elif not res_acc >= config.fixed_point_tol * (1.0 + float(np.linalg.norm(u_acc))):
+        elif not res_acc >= config.fixed_point_tol * (1.0 + _norm(u_acc)):
             break  # converged; a NaN start residual also stops here
         else:
             u_cand = u_acc - inv_jac @ g_acc
@@ -292,7 +324,7 @@ def subiterate(structure: ModelStructure, theta, state: HorizonState,
         diag.qp_iterations += qdiag.iterations
         diag.ridge_applied = diag.ridge_applied or qdiag.ridge_applied
         g_cand = mapped_cand - u_cand
-        res_cand = float(np.linalg.norm(g_cand))
+        res_cand = _norm(g_cand)
 
         if kind == "start" or res_cand <= res_acc:
             if kind == "newton":

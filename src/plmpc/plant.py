@@ -169,7 +169,7 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.warmup_std < 0.0:
-            raise ValueError("warmup_std must be nonnegative")
+            raise ValueError(f"warmup_std must be nonnegative, got {self.warmup_std}")
         # the name is the stem of every output file, so it may not leave the directory
         if not re.fullmatch(r"[A-Za-z0-9][A-Za-z0-9._-]*", self.name):
             raise ValueError(f"name must be a file stem of letters, digits, '.', '_' "
@@ -177,7 +177,7 @@ class SimConfig:
         n_theta = len(self.theta0_array())
         if n_theta != self.structure.dim_phi:
             raise ValueError(
-                f"theta0 has {n_theta} entries but the model structure "
+                f"rls.theta0 has {n_theta} entries but the model structure "
                 f"needs {self.structure.dim_phi}"
             )
 

@@ -13,6 +13,7 @@ primal active-set loop solves exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -28,6 +29,21 @@ OPT_TOL = 1e-10
 # are the same bits without the wrappers' per-call overhead.
 _TRTRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
     ("trtrs", "potrf", "potrs"), dtype=np.float64)
+
+
+@lru_cache(maxsize=8)
+def _identity(m: int) -> np.ndarray:
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
+@lru_cache(maxsize=8)
+def _upper_mask(m: int) -> np.ndarray:
+    """Read-only mask of the diagonal and upper triangle of an m x m matrix."""
+    mask = np.triu(np.ones((m, m), dtype=bool))
+    mask.flags.writeable = False
+    return mask
 
 
 class QpError(RuntimeError):
@@ -67,7 +83,7 @@ class QpProblem:
                 raise ValueError(f"{name} must have shape {want}, got {shape}")
         if (self.u_min is None) != (self.u_max is None):
             raise ValueError("bounds must be given as a pair or not at all")
-        if np.triu(self.f_pred).any():
+        if np.asarray(self.f_pred)[_upper_mask(m)].any():
             raise ValueError("f_pred must be strictly lower triangular")
 
     @property
@@ -85,26 +101,28 @@ class QpDiagnostics:
 def solve(problem: QpProblem) -> tuple[np.ndarray, QpDiagnostics]:
     """Solve the horizon QP; returns (x, diagnostics) with x = [Y; U]."""
     m = problem.horizon
-    lower = np.eye(m) - problem.f_pred
-    hy = problem.q_weight * np.eye(m)
-    hu = problem.r_weight * np.eye(m)
+    eye = _identity(m)
+    q = problem.q_weight
+    lower = eye - problem.f_pred
 
     # eliminate Y = y_base + trans @ U through the unit-triangular equality block
     _check_finite(problem.f_pred, problem.g_pred, problem.b_eq)
     trans = _unit_lower_solve(lower, problem.g_pred)
     y_base = _unit_lower_solve(lower, problem.b_eq)
 
-    h_red = trans.T @ hy @ trans + hu
+    # The output weight is q I. Scaling by q gives the products with q I up
+    # to the sign of zeros, and adding the +0.0 entries of r I (r >= 0) and
+    # of the zero U block of the linear cost maps every -0.0 to +0.0, which
+    # could otherwise change the sign of a zero in the solution.
+    h_red = (q * trans.T) @ trans + problem.r_weight * eye
     h_red = 0.5 * (h_red + h_red.T)
-    # the U block of the linear cost is zero; adding it maps -0.0 entries of
-    # f_red to +0.0, which can change the sign of a zero in the solution
-    f_red = 2.0 * (trans.T @ (hy @ y_base)) + trans.T @ problem.y_lin + np.zeros(m)
+    f_red = 2.0 * (trans.T @ (q * y_base)) + trans.T @ problem.y_lin + np.zeros(m)
 
     ridge_applied = False
     try:
         chol = _factor(h_red)
     except np.linalg.LinAlgError:
-        h_red = h_red + RIDGE * np.eye(m)
+        h_red = h_red + RIDGE * eye
         ridge_applied = True
         try:
             chol = _factor(h_red)

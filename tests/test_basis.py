@@ -115,6 +115,22 @@ def test_nonfinite_arguments_rejected(spec):
         spec.eval_grid([0.0, math.nan])
 
 
+def test_fixed_row_is_the_read_only_row_at_every_argument():
+    # rollout and build_sdc form row @ fixed_row once instead of once per point
+    rng = np.random.default_rng(21)
+    xs = np.concatenate([rng.uniform(-10.0, 10.0, 200), rng.uniform(-1e6, 1e6, 50),
+                         [0.0, -0.0, 1e300, -5e-324]])
+    for spec in (Constant(), Zero()):
+        row = spec.fixed_row
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 2.0
+        for x in xs:
+            assert row.tobytes() == spec.eval(x).tobytes(), (spec, x)
+    for spec in (Polynomial(0), Fourier(1, 6.0), SPLINE4, AtanPair(), SinPair()):
+        assert spec.fixed_row is None, spec
+
+
 # --- properties ------------------------------------------------------------------
 
 @given(finite_xs)

@@ -104,6 +104,28 @@ def test_run_solver_failure_keeps_partial_output(tmp_path, capsys):
     assert len(rows) == aborted + 1
 
 
+def test_summary_of_a_non_finite_run_is_strict_json(tmp_path, capsys):
+    # y0 = 1e300 overflows the estimator at step 1: the identified
+    # coefficients are NaN, and the summary writes them as null
+    doc = to_document(preset("eg1"))
+    doc["sim"]["y0"] = 1e300
+    doc["sim"]["steps"] = 30
+    cfg_path = tmp_path / "huge.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        code = main(["run", "--config", str(cfg_path), "--out-dir", str(out), "--quiet"])
+    assert code == 3
+    assert "basis argument must be finite, got nan" in capsys.readouterr().err
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    summary = json.loads((out / "eg1_summary.json").read_text(), parse_constant=reject)
+    assert summary["aborted_at_step"] == 1
+    assert None in summary["final_theta"]
+
+
 def test_run_from_config_file(tmp_path):
     cfg_path = tmp_path / "custom.yaml"
     doc = to_document(preset("eg3"))

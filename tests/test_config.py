@@ -207,12 +207,17 @@ def _leaf_paths(node, path=()):
 def test_every_leaf_mutation_round_trips_or_names_its_field(preset_name):
     """Each leaf of a preset document, deleted or replaced by a value of the
     wrong type or range, either parses to a config that round-trips or raises
-    a ConfigError naming the leaf's path, its section or its own key."""
+    a ConfigError naming the leaf's path, its section or its own key. SimConfig
+    checks fields of several sections at once, so errors in the sim section and
+    in rls.theta0 must give the whole path."""
     base = to_document(preset(preset_name))
     cases = 0
     for path in _leaf_paths(base):
         dotted = "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)[1:]
         names = (dotted, str(path[0]), re.sub(r"\[\d+\]", "", dotted).split(".")[-1])
+        whole = re.sub(r"\[\d+\]$", "", dotted)  # a theta0 entry: the list's path
+        if path[0] == "sim" or whole == "rls.theta0":
+            names = (whole,)
         for value in MUTATIONS:
             doc = copy.deepcopy(base)
             parent = doc

@@ -6,7 +6,15 @@ import numpy as np
 import pytest
 
 from plmpc import qp
-from plmpc.basis import AtanPair, Constant, Fourier
+from plmpc.basis import (
+    AtanPair,
+    Constant,
+    CubicHermiteSpline,
+    Fourier,
+    Polynomial,
+    SinPair,
+    Zero,
+)
 from plmpc.mpc import (
     HorizonConfig,
     HorizonState,
@@ -84,6 +92,131 @@ def test_frozen_rollout_matches_live_rollout_for_constant_dictionaries():
     planned = rollout(LIN, theta, state, controls)
     table = build_sdc(LIN, theta, state, planned)
     assert np.allclose(rollout_frozen(table, state, controls), planned, atol=1e-12)
+
+
+# Dictionaries grouped by dimension: the lags of one side must share it.
+_SPECS_BY_DIM = (
+    (Constant(), Zero()),
+    (AtanPair(), SinPair(), Polynomial(1)),
+    (Fourier(1, 6.0), Polynomial(2)),
+    (CubicHermiteSpline(2, -6.0, 6.0),),
+)
+
+
+def _rollout_per_point(structure, theta, state, controls):
+    # the rollout with every coefficient formed at its own point, as
+    # coef @ spec.eval(y), argument-free dictionaries included; None once
+    # an output stops being finite
+    n = structure.order
+    fs, gs, h_row = structure.split(theta)
+    ys = state.past_y.tolist() + [state.anchor]
+    us = state.past_u.tolist() + controls.tolist()
+    for r in range(controls.size):
+        acc = 0.0
+        for lag in range(1, n + 1):
+            yl = ys[r + n - lag]
+            acc += -(fs[lag - 1] @ structure.f_specs[lag - 1].eval(yl)) * yl
+            acc += (gs[lag - 1] @ structure.g_specs[lag - 1].eval(yl)) * us[r + n - lag]
+        if structure.h_spec is not None:
+            acc += h_row @ structure.h_spec.eval(ys[r + n - 1])
+        if not math.isfinite(acc):
+            return None
+        ys.append(acc)
+    return np.array(ys[n:])
+
+
+def _sdc_per_grid(structure, theta, state, planned):
+    # build_sdc with every coefficient column formed as spec.eval_grid(args) @ coef
+    n = structure.order
+    horizon = planned.size
+    fs, gs, h_row = structure.split(theta)
+    grid = np.concatenate([state.past_y, [state.anchor], planned])
+    f_coef = np.empty((horizon, n))
+    g_coef = np.empty((horizon, n))
+    for lag in range(1, n + 1):
+        args = grid[n - lag:n - lag + horizon]
+        f_coef[:, lag - 1] = -(structure.f_specs[lag - 1].eval_grid(args) @ fs[lag - 1])
+        g_coef[:, lag - 1] = structure.g_specs[lag - 1].eval_grid(args) @ gs[lag - 1]
+    if structure.h_spec is None:
+        return f_coef, g_coef, np.zeros(horizon)
+    return f_coef, g_coef, structure.h_spec.eval_grid(grid[n - 1:n - 1 + horizon]) @ h_row
+
+
+def _random_structure(rng):
+    order = int(rng.integers(1, 4))
+    f_group, g_group = (_SPECS_BY_DIM[int(rng.integers(len(_SPECS_BY_DIM)))] for _ in "fg")
+    h_choices = (None, Constant(), Zero(), SinPair(), Fourier(1, 6.0))
+    return ModelStructure(
+        order,
+        tuple(f_group[int(rng.integers(len(f_group)))] for _ in range(order)),
+        tuple(g_group[int(rng.integers(len(g_group)))] for _ in range(order)),
+        h_choices[int(rng.integers(len(h_choices)))])
+
+
+def _random_case(rng, structure, horizon=8):
+    theta = rng.normal(size=structure.dim_phi) * 0.3
+    # a -0.0 coefficient: a one-element product of it reads +0.0
+    theta[rng.random(theta.size) < 0.2] = -0.0
+    n = structure.order
+    state = HorizonState(anchor=float(rng.normal()), past_y=rng.normal(size=n - 1),
+                         past_u=rng.normal(size=n - 1), commands=np.zeros(horizon))
+    return theta, state, rng.normal(size=horizon) * 0.5
+
+
+def test_folded_rollout_and_sdc_match_per_point_coefficients_bitwise():
+    rng = np.random.default_rng(31)
+    folded = 0
+    for _ in range(300):
+        structure = _random_structure(rng)
+        theta, state, controls = _random_case(rng, structure)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _rollout_per_point(structure, theta, state, controls)
+        if want is None:
+            with pytest.raises(RolloutDivergedError):
+                rollout(structure, theta, state, controls)
+            continue
+        planned = rollout(structure, theta, state, controls)
+        assert planned.tobytes() == want.tobytes(), structure
+        table = build_sdc(structure, theta, state, planned)
+        for got, ref in zip((table.f_coef, table.g_coef, table.offset),
+                            _sdc_per_grid(structure, theta, state, planned)):
+            assert got.tobytes() == ref.tobytes(), structure
+        specs = (*structure.f_specs, *structure.g_specs, structure.h_spec)
+        folded += any(s is not None and s.fixed_row is not None for s in specs)
+    assert folded > 150
+
+
+@pytest.mark.parametrize("structure", [
+    LIN,
+    ModelStructure(1, (Constant(),), (Constant(),), Zero()),
+    ModelStructure(2, (Constant(), Zero()), (Zero(), Constant()), None),
+    ModelStructure(3, (Zero(),) * 3, (Constant(),) * 3, Constant()),
+    ModelStructure(2, (Constant(), Constant()), (SinPair(), AtanPair()), None),
+], ids=["order1", "order1-offset", "order2", "order3-offset", "order2-varying-g"])
+def test_non_finite_known_outputs_raise_the_per_point_error(structure):
+    rng = np.random.default_rng(41)
+    n = structure.order
+    for anchor, past in [(math.nan, [0.5] * (n - 1)), (math.inf, [0.5] * (n - 1)),
+                         (0.5, [-math.inf] + [0.5] * (n - 2)),
+                         (math.nan, [math.inf] * (n - 1))]:
+        if len(past) != n - 1:
+            continue
+        theta = rng.normal(size=structure.dim_phi)
+        state = HorizonState(anchor=anchor, past_y=np.array(past, dtype=float),
+                             past_u=np.zeros(n - 1), commands=np.zeros(4))
+        controls = rng.normal(size=4)
+        with pytest.raises(ValueError) as ref:
+            _rollout_per_point(structure, theta, state, controls)
+        with pytest.raises(ValueError) as got:
+            rollout(structure, theta, state, controls)
+        assert str(got.value) == str(ref.value)
+        assert str(got.value).startswith("basis argument must be finite, got ")
+        planned = np.zeros(4)
+        with pytest.raises(ValueError) as ref:
+            _sdc_per_grid(structure, theta, state, planned)
+        with pytest.raises(ValueError) as got:
+            build_sdc(structure, theta, state, planned)
+        assert str(got.value) == str(ref.value)
 
 
 def test_state_accessors_index_the_grid():

@@ -1,5 +1,6 @@
 """Plant catalog, closed-loop driver mechanics, metrics, and presets."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -134,6 +135,38 @@ def test_loop_records_plant_and_command_columns(run_preset):
     for k in (1, 7, 30):
         assert log.r[k - 1] == pytest.approx(cfg.command(k), abs=1e-15)
         assert log.e_c[k - 1] == pytest.approx(log.r[k - 1] - log.y[k - 1], abs=1e-12)
+
+
+# SHA-256 of each preset's 500-step y and u trajectories at seed 1; for
+# eg4-FB3, of the partial log its SimulationAborted carries. A change that
+# keeps the arithmetic keeps every one of these. A change that moves bits on
+# purpose updates them and lists the new values in CHANGES.md.
+GOLDEN_PRESET_SHA256 = {
+    "eg1": "075d35cf84e93916cf8eb092e479f942972e887700052f4a99d3fa52f5c5e92c",
+    "eg3": "e43da397f3f9e07f77d9db54b84f50bc5042a61b37dc97ea69a062b6d8505da2",
+    "eg4-BL": "0e27ff8f72d91358f225111006188b2122b3d9b90b089e422818c1e496799bc9",
+    "eg4-PB2": "aa598e5f52985b849b77d14a3fef3d7252aa565b3ddb8096a85a35e8d51048a1",
+    "eg4-FB3": "e9ad7bdabad3d76afe4f4e6d3568f8e511b6cf764a597fca8fbde2d98cc711de",
+    "eg4-CB4": "9b0014a1e21d8a1e1e99ceae190f356949063bee9c4ff517176d741b54baada5",
+    "eg5-BL": "82a84becbd53e35bc6fd61af09ffdb18b6d41634cca0791becfff28d5cdcb458",
+    "eg5-PB2": "5b133981114a2b6ee677bfa3b79113027b2473f293000e0cd424543d1a8bb156",
+    "eg5-FB3": "73b7e42836ac789aa800ac976a9942dbaf7bc447ffb95e8d6266bba9a9952a45",
+    "eg5-CB4": "6214a7c76290e1014bd7d44ec7cba3788dea5c8755c566b34fc50c905487bead",
+    "eg6-BL": "82a84becbd53e35bc6fd61af09ffdb18b6d41634cca0791becfff28d5cdcb458",
+    "eg6-PB2": "5b133981114a2b6ee677bfa3b79113027b2473f293000e0cd424543d1a8bb156",
+    "eg6-CB4": "6214a7c76290e1014bd7d44ec7cba3788dea5c8755c566b34fc50c905487bead",
+    "eg6-FB5": "39d418953631bb96c8353cd9918c8bca0577d172ebe1e59b833538a646628b81",
+}
+
+
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_trajectory_is_pinned(name, run_preset):
+    try:
+        log = run_preset(name)
+    except SimulationAborted as exc:
+        log = exc.partial
+    digest = hashlib.sha256(log.y.tobytes() + log.u.tobytes()).hexdigest()
+    assert digest == GOLDEN_PRESET_SHA256[name]
 
 
 def test_true_coefficients_give_zero_prediction_error():

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from plmpc import qp
 from plmpc.qp import QpError, QpProblem, solve
 from plmpc.selftest import dense_form, kkt_solve
 
@@ -109,6 +110,38 @@ def test_initial_guess_only_seeds_the_active_set():
     assert np.allclose(plain, boxed, atol=1e-9)
 
 
+def _solve_with_dense_weights(problem):
+    # solve's elimination with the weights as dense matrices q I and r I
+    m = problem.horizon
+    lower = np.eye(m) - problem.f_pred
+    hy = problem.q_weight * np.eye(m)
+    hu = problem.r_weight * np.eye(m)
+    trans = qp._unit_lower_solve(lower, problem.g_pred)
+    y_base = qp._unit_lower_solve(lower, problem.b_eq)
+    h_red = trans.T @ hy @ trans + hu
+    h_red = 0.5 * (h_red + h_red.T)
+    f_red = 2.0 * (trans.T @ (hy @ y_base)) + trans.T @ problem.y_lin + np.zeros(m)
+    if problem.u_min is None:
+        u = qp._cho_solve(qp._factor(h_red), -0.5 * f_red)
+    else:
+        u = qp._active_set(problem, h_red, f_red)[0]
+    return np.concatenate([y_base + trans @ u, u])
+
+
+def test_scaled_weights_give_the_dense_weight_bits():
+    rng = np.random.default_rng(37)
+    for case in range(200):
+        problem = _random_problem(rng, int(rng.integers(1, 21)), bounded=case % 3 == 0)
+        if case % 4 == 0:
+            problem = replace(problem, r_weight=0.0)
+        if case % 5 == 0:  # signed zeros in the data and exact zero costs
+            m = problem.horizon
+            problem = replace(problem, b_eq=np.where(rng.random(m) < 0.5, -0.0, 0.0),
+                              y_lin=np.full(m, -0.0))
+        x, _ = solve(problem)
+        assert x.tobytes() == _solve_with_dense_weights(problem).tobytes(), case
+
+
 # --- degenerate Hessian paths ---------------------------------------------------------
 
 def test_ridge_rescues_singular_reduced_hessian():
@@ -157,6 +190,9 @@ def test_problem_shape_validation():
         QpProblem(np.array([[0.5]]), one, np.zeros(1), 1.0, 1.0, np.zeros(1))
     with pytest.raises(ValueError):  # nonzero upper entry in f_pred
         QpProblem(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2), np.zeros(2),
+                  1.0, 1.0, np.zeros(2))
+    with pytest.raises(ValueError):  # NaN upper entry in f_pred
+        QpProblem(np.array([[0.0, np.nan], [0.0, 0.0]]), np.eye(2), np.zeros(2),
                   1.0, 1.0, np.zeros(2))
     with pytest.raises(ValueError):  # half a bound pair
         QpProblem(z1, one, np.zeros(1), 1.0, 1.0, np.zeros(1), u_min=0.0)
