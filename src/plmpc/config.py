@@ -19,8 +19,6 @@ from dataclasses import dataclass, fields, replace
 from functools import partial
 from typing import Callable
 
-import yaml
-
 from . import basis as basis_mod
 from .model import ModelStructure
 from .mpc import HorizonConfig
@@ -286,6 +284,8 @@ def to_document(cfg: SimConfig) -> dict:
 
 
 def load_config_file(path) -> SimConfig:
+    import yaml  # only the file functions need it, so a run stays clear of it
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -297,6 +297,8 @@ def load_config_file(path) -> SimConfig:
 
 
 def dump_config_file(cfg: SimConfig, path) -> None:
+    import yaml
+
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(to_document(cfg), fh, sort_keys=False)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
@@ -111,6 +112,12 @@ class SinusoidCommand:
 
 # --- configuration ----------------------------------------------------------
 
+# The first forgetting step forms r0**2 terms, and a forgetting factor below
+# the smallest normal float lets lambda * phi' R phi underflow to zero.
+_R0_MAX = math.sqrt(sys.float_info.max)
+_FORGETTING_MIN = sys.float_info.min
+
+
 @dataclass(frozen=True)
 class RlsSettings:
     theta0: tuple
@@ -121,8 +128,13 @@ class RlsSettings:
     def __post_init__(self):
         if not self.r0 > 0.0:
             raise ValueError(f"r0 must be positive, got {self.r0}")
+        if self.r0 > _R0_MAX:
+            raise ValueError(f"r0 must be at most sqrt(float max) = {_R0_MAX:.4g}, got {self.r0}")
         if not 0.0 < self.forgetting <= 1.0:
             raise ValueError(f"forgetting must be in (0, 1], got {self.forgetting}")
+        if self.forgetting < _FORGETTING_MIN:
+            raise ValueError(f"forgetting must be at least float min = {_FORGETTING_MIN:.4g}, "
+                             f"got {self.forgetting}")
         if not self.filter_threshold > 0.0:
             raise ValueError(f"filter_threshold must be positive, got {self.filter_threshold}")
 
@@ -272,7 +284,7 @@ def run_closed_loop(cfg: SimConfig) -> RunLog:
     y_hist.append(cfg.y0)
     u_hist.append(cfg.u0)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = None  # made at the first warmup draw, so a run that never draws skips numpy.random
     estimator = DirectionalForgettingRls(
         cfg.theta0_array(), cfg.rls.r0, cfg.rls.forgetting, cfg.rls.filter_threshold)
     controller = RecedingHorizonController(cfg.structure, cfg.mpc)
@@ -326,6 +338,8 @@ def run_closed_loop(cfg: SimConfig) -> RunLog:
             log.qp_iters[k - 1] = diag.qp_iterations
             log.fp_residual[k - 1] = diag.residual if math.isfinite(diag.residual) else -1.0
         else:
+            if rng is None:
+                rng = np.random.default_rng(cfg.seed)
             u_next = draw_warmup_input(rng, cfg.warmup_std)
         log.wall_ms[k - 1] = (time.perf_counter() - t0) * 1e3
     return log

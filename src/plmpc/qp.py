@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
+
+from . import _lapack
 
 __all__ = ["QpProblem", "QpDiagnostics", "QpError", "solve"]
 
@@ -27,8 +28,7 @@ OPT_TOL = 1e-10
 # The LAPACK routines behind scipy.linalg's solve_triangular, cho_factor and
 # cho_solve, called with the arguments those wrappers pass, so the results
 # are the same bits without the wrappers' per-call overhead.
-_TRTRS, _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(
-    ("trtrs", "potrf", "potrs"), dtype=np.float64)
+_TRTRS, _POTRF, _POTRS = _lapack.trtrs, _lapack.potrf, _lapack.potrs
 
 
 @lru_cache(maxsize=8)

@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
+
+from ._lapack import potrf, potrs
 
 __all__ = ["DirectionalForgettingRls", "directional_forget"]
 
@@ -64,13 +65,16 @@ class DirectionalForgettingRls:
             raise ValueError(f"r0 must be a scalar or a {dim}x{dim} matrix, got shape {r0.shape}")
         if not np.allclose(info, info.T, rtol=0.0, atol=1e-12):
             raise ValueError("r0 must be symmetric")
-        try:
-            chol = scipy.linalg.cho_factor(info, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("r0 must be positive definite") from exc
+        # the checks and LAPACK calls of scipy.linalg.cho_factor(info,
+        # lower=True) and cho_solve, with the texts they raise
+        if not np.isfinite(info).all():
+            raise ValueError("array must not contain infs or NaNs")
+        chol, status = potrf(info, lower=1, clean=0)
+        if status != 0:
+            raise ValueError("r0 must be positive definite")
         self.theta = theta0.copy()
         self.info = 0.5 * (info + info.T)
-        self.cov = scipy.linalg.cho_solve(chol, np.eye(dim))
+        self.cov, _ = potrs(chol, np.eye(dim), lower=1)
         self.cov = 0.5 * (self.cov + self.cov.T)
         self.forgetting = float(forgetting)
         self.filter_threshold = float(filter_threshold)

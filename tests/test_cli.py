@@ -126,6 +126,25 @@ def test_summary_of_a_non_finite_run_is_strict_json(tmp_path, capsys):
     assert None in summary["final_theta"]
 
 
+@pytest.mark.parametrize("key, value, code", [
+    ("r0", 1e300, 2),           # the first forgetting step would overflow
+    ("forgetting", 1e-320, 2),  # lambda * phi' R phi would underflow to 0
+    ("r0", 1e150, 3),           # accepted; the run still fails, and says where
+    ("forgetting", 1e-300, 3),
+])
+def test_rls_range_escapes_exit_two(tmp_path, capsys, key, value, code):
+    doc = to_document(preset("eg4-BL"))
+    doc["rls"][key] = value
+    doc["sim"]["steps"] = 30
+    cfg_path = tmp_path / "rls.yaml"
+    cfg_path.write_text(yaml.safe_dump(doc))
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                     "--quiet"]) == code
+    err = capsys.readouterr().err
+    assert (f"rls: {key}" in err) == (code == 2)
+
+
 def test_run_from_config_file(tmp_path):
     cfg_path = tmp_path / "custom.yaml"
     doc = to_document(preset("eg3"))

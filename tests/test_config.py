@@ -3,7 +3,9 @@
 import copy
 import hashlib
 import json
+import math
 import re
+import sys
 
 import pytest
 import yaml
@@ -94,6 +96,20 @@ def test_wrong_type_error_names_the_path(eg1_doc):
         doc = copy.deepcopy(eg1_doc)
         doc[key] = value
         with pytest.raises(ConfigError, match=key):
+            from_document(doc)
+
+
+def test_rls_range_limits(eg1_doc):
+    # r0 up to sqrt(float max): the first forgetting step forms r0**2 terms;
+    # forgetting down to the smallest normal float, or lambda * phi' R phi underflows
+    r0_max, lam_min = math.sqrt(sys.float_info.max), sys.float_info.min
+    for key, ok, bad in [("r0", r0_max, math.nextafter(r0_max, math.inf)),
+                         ("forgetting", lam_min, math.nextafter(lam_min, 0.0))]:
+        doc = copy.deepcopy(eg1_doc)
+        doc["rls"][key] = ok
+        assert getattr(from_document(doc).rls, key) == ok
+        doc["rls"][key] = bad
+        with pytest.raises(ConfigError, match=f"rls: {key}"):
             from_document(doc)
 
 

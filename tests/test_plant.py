@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from plmpc.basis import AtanPair, Constant, CubicHermiteSpline, Fourier, SinPair, Zero
-from plmpc.model import History
+from plmpc.model import History, ModelStructure
 from plmpc.plant import (
     LOG10_FLOOR,
     AtanAffineCoeff,
@@ -94,6 +94,24 @@ def test_warmup_scale_is_a_standard_deviation():
 def test_zero_warmup_scale_draws_zeros():
     rng = np.random.default_rng(0)
     assert draw_warmup_input(rng, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_warmup_draws_the_seeded_stream_in_step_order(order):
+    # the generator is made at the first draw; warmup steps 1..order-1 choose
+    # the inputs of steps 2..order from PCG64(seed), one draw per step
+    base = preset("eg1")
+    structure = ModelStructure(order, (Constant(),) * order, (Constant(),) * order)
+    theta0 = (1.0,) + (0.0,) * (order - 1) + (0.01,) + (0.0,) * (order - 1)
+    cfg = replace(base, structure=structure, steps=order + 3, seed=7,
+                  rls=replace(base.rls, theta0=theta0))
+    log = run_closed_loop(cfg)
+    rng = np.random.default_rng(7)
+    draws = [float(rng.normal(0.0, cfg.warmup_std)) for _ in range(order - 1)]
+    assert log.u[1:order].tolist() == draws
+    again = run_closed_loop(cfg)
+    for name in ("y", "u", "e_p", "theta"):
+        assert getattr(again, name).tobytes() == getattr(log, name).tobytes()
 
 
 # --- logging helpers ----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -153,6 +154,30 @@ def test_constructor_rejections():
                                  0.5, 1e-4)
     with pytest.raises(ValueError):
         DirectionalForgettingRls([0.0, 0.0], np.eye(3), 0.5, 1e-4)
+
+
+def test_initial_covariance_matches_scipy_cholesky_bitwise():
+    # the constructor calls LAPACK potrf/potrs directly; the result must be
+    # the bits scipy.linalg.cho_factor(lower=True) and cho_solve produce
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        dim = int(rng.integers(2, 7))
+        r0 = _random_pd(rng, dim) * 10.0 ** rng.uniform(-4, 4)
+        r0 = 0.5 * (r0 + r0.T)
+        if rng.uniform() < 0.5:  # asymmetric within the 1e-12 tolerance
+            r0[0, -1] += 1e-13
+        est = DirectionalForgettingRls(np.zeros(dim), r0, 0.5, 1e-4)
+        cov = scipy.linalg.cho_solve(scipy.linalg.cho_factor(r0, lower=True), np.eye(dim))
+        assert est.cov.tobytes() == (0.5 * (cov + cov.T)).tobytes()
+
+
+def test_matrix_r0_errors_keep_their_texts():
+    with pytest.raises(ValueError, match="r0 must be positive definite"):
+        DirectionalForgettingRls([0.0, 0.0], np.array([[1.0, 2.0], [2.0, 1.0]]), 0.5, 1e-4)
+    with pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        DirectionalForgettingRls([0.0, 0.0], np.diag([1.0, np.inf]), 0.5, 1e-4)
+    with pytest.raises(ValueError, match="r0 must be symmetric"):
+        DirectionalForgettingRls([0.0, 0.0], np.array([[1.0, 0.5], [0.0, 1.0]]), 0.5, 1e-4)
 
 
 def test_scalar_r0_must_be_finite_and_positive():
